@@ -32,7 +32,7 @@ void stabilization_scaling() {
     Stats lock;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
       BackoffCm cm(BackoffCm::Options{.seed = seed});
-      std::vector<bool> alive(n, true);
+      ProcessSet alive(n, true);
       std::vector<CmAdvice> advice;
       for (Round r = 1; r <= 5000; ++r) {
         cm.advise(r, alive, advice);

@@ -304,7 +304,7 @@ void BM_LossDelivery(benchmark::State& state) {
   opts.r_cf = 1u << 30;
   opts.pre = EcfAdversary::PreMode::kCapture;
   EcfAdversary loss(opts);
-  std::vector<bool> sent(n, true);
+  const ProcessSet sent(n, true);
   DeliveryMatrix m;
   Round r = 1;
   for (auto _ : state) {

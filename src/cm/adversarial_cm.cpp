@@ -10,7 +10,7 @@ ScriptedCm::ScriptedCm(std::vector<std::vector<CmAdvice>> script,
   assert(!script_.empty());
 }
 
-void ScriptedCm::advise(Round round, const std::vector<bool>& alive,
+void ScriptedCm::advise(Round round, const ProcessSet& alive,
                         std::vector<CmAdvice>& out) {
   const std::size_t idx =
       round - 1 < script_.size() ? round - 1 : script_.size() - 1;
@@ -21,7 +21,7 @@ void ScriptedCm::advise(Round round, const std::vector<bool>& alive,
 TwoGroupMaxLs::TwoGroupMaxLs(std::uint32_t split, Round k)
     : split_(split), k_(k) {}
 
-void TwoGroupMaxLs::advise(Round round, const std::vector<bool>& alive,
+void TwoGroupMaxLs::advise(Round round, const ProcessSet& alive,
                            std::vector<CmAdvice>& out) {
   const auto n = alive.size();
   out.assign(n, CmAdvice::kPassive);

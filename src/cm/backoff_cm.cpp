@@ -4,19 +4,19 @@ namespace ccd {
 
 BackoffCm::BackoffCm(Options opts) : opts_(opts), rng_(opts.seed) {}
 
-void BackoffCm::advise(Round round, const std::vector<bool>& alive,
+void BackoffCm::advise(Round round, const ProcessSet& alive,
                        std::vector<CmAdvice>& out) {
   const auto n = alive.size();
   out.assign(n, CmAdvice::kPassive);
   if (window_.size() < n) {
     window_.resize(n, opts_.initial_window);
   }
-  last_active_.assign(n, false);
+  last_active_.reset(n);
 
   if (locked_process_ != kNoLock) {
     if (locked_process_ < n && alive[locked_process_]) {
       out[locked_process_] = CmAdvice::kActive;
-      last_active_[locked_process_] = true;
+      last_active_.set(locked_process_);
       return;
     }
     // Locked leader crashed; resume contention.
@@ -25,30 +25,27 @@ void BackoffCm::advise(Round round, const std::vector<bool>& alive,
 
   std::uint32_t active_count = 0;
   std::uint32_t last = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive[i]) continue;
+  alive.for_each([&](std::size_t i) {
     if (rng_.below(window_[i]) == 0) {
       out[i] = CmAdvice::kActive;
-      last_active_[i] = true;
+      last_active_.set(i);
       ++active_count;
       last = static_cast<std::uint32_t>(i);
     }
-  }
+  });
 
   if (active_count == 1) {
     locked_process_ = last;
     if (locked_round_ == kNeverRound) locked_round_ = round;
   } else if (active_count >= 2) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (last_active_[i] && window_[i] < opts_.max_window) {
-        window_[i] *= 2;
-      }
-    }
+    last_active_.for_each([&](std::size_t i) {
+      if (window_[i] < opts_.max_window) window_[i] *= 2;
+    });
   } else {
     // Silence: speed everyone back up a little so the channel is not idle.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (alive[i] && window_[i] > 1) window_[i] -= 1;
-    }
+    alive.for_each([&](std::size_t i) {
+      if (window_[i] > 1) window_[i] -= 1;
+    });
   }
 }
 

@@ -31,7 +31,7 @@ class BackoffCm final : public ContentionManager {
 
   explicit BackoffCm(Options opts);
 
-  void advise(Round round, const std::vector<bool>& alive,
+  void advise(Round round, const ProcessSet& alive,
               std::vector<CmAdvice>& out) override;
   void observe(Round round, std::uint32_t broadcasters) override;
 
@@ -48,7 +48,7 @@ class BackoffCm final : public ContentionManager {
   Options opts_;
   Rng rng_;
   std::vector<std::uint32_t> window_;
-  std::vector<bool> last_active_;
+  ProcessSet last_active_;
   std::uint32_t locked_process_ = kNoLock;
   Round locked_round_ = kNeverRound;
 

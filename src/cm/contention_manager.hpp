@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "model/process_set.hpp"
 #include "model/types.hpp"
 
 namespace ccd {
@@ -30,9 +31,11 @@ class ContentionManager {
   virtual ~ContentionManager() = default;
 
   /// Produce advice for round r (out is resized to the process count by the
-  /// executor).  `alive[i]` is false once i has crashed; practical services
-  /// adapt, formal adversarial ones may ignore it.
-  virtual void advise(Round round, const std::vector<bool>& alive,
+  /// executor).  `alive` holds the participating processes: i leaves it
+  /// once it has crashed (or halted); practical services adapt, formal
+  /// adversarial ones may ignore it.  Managers that draw randomness per
+  /// process walk indices in ascending order.
+  virtual void advise(Round round, const ProcessSet& alive,
                       std::vector<CmAdvice>& out) = 0;
 
   /// Channel feedback after the round's broadcasts: how many processes

@@ -4,7 +4,7 @@ namespace ccd {
 
 KWakeupService::KWakeupService(Options options) : options_(options) {}
 
-void KWakeupService::advise(Round round, const std::vector<bool>& alive,
+void KWakeupService::advise(Round round, const ProcessSet& alive,
                             std::vector<CmAdvice>& out) {
   const std::size_t n = alive.size();
   out.assign(n, CmAdvice::kPassive);

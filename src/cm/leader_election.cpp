@@ -3,11 +3,10 @@
 namespace ccd {
 
 namespace {
-std::uint32_t lowest_alive(const std::vector<bool>& alive) {
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (alive[i]) return static_cast<std::uint32_t>(i);
-  }
-  return LeaderElectionService::Options::kNoLeader;
+std::uint32_t lowest_alive(const ProcessSet& alive) {
+  const std::size_t first = alive.first();
+  return first < alive.size() ? static_cast<std::uint32_t>(first)
+                              : LeaderElectionService::Options::kNoLeader;
 }
 }  // namespace
 
@@ -15,7 +14,7 @@ LeaderElectionService::LeaderElectionService(Options opts) : opts_(opts) {
   leader_ = opts_.leader;
 }
 
-void LeaderElectionService::advise(Round round, const std::vector<bool>& alive,
+void LeaderElectionService::advise(Round round, const ProcessSet& alive,
                                    std::vector<CmAdvice>& out) {
   const auto n = alive.size();
   out.assign(n, CmAdvice::kPassive);

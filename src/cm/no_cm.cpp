@@ -2,7 +2,7 @@
 
 namespace ccd {
 
-void NoCm::advise(Round /*round*/, const std::vector<bool>& alive,
+void NoCm::advise(Round /*round*/, const ProcessSet& alive,
                   std::vector<CmAdvice>& out) {
   out.assign(alive.size(), CmAdvice::kActive);
 }

@@ -4,7 +4,7 @@ namespace ccd {
 
 WakeupService::WakeupService(Options opts) : opts_(opts), rng_(opts.seed) {}
 
-void WakeupService::advise(Round round, const std::vector<bool>& alive,
+void WakeupService::advise(Round round, const ProcessSet& alive,
                            std::vector<CmAdvice>& out) {
   const auto n = alive.size();
   out.assign(n, CmAdvice::kPassive);
@@ -31,28 +31,20 @@ void WakeupService::advise(Round round, const std::vector<bool>& alive,
   // Stabilized: exactly one process is advised active.
   switch (opts_.post) {
     case PostStabilization::kMinAlive: {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (alive[i]) {
-          out[i] = CmAdvice::kActive;
-          return;
-        }
-      }
-      break;  // all crashed: advising nobody is vacuously fine
+      // All crashed: advising nobody is vacuously fine.
+      const std::size_t first = alive.first();
+      if (first < n) out[first] = CmAdvice::kActive;
+      break;
     }
     case PostStabilization::kRotateAlive: {
-      std::uint32_t alive_count = 0;
-      for (bool a : alive) alive_count += a ? 1 : 0;
+      const auto alive_count = static_cast<std::uint32_t>(alive.count());
       if (alive_count == 0) break;
-      std::uint32_t skip = rotate_cursor_ % alive_count;
+      const std::uint32_t pick = rotate_cursor_ % alive_count;
       ++rotate_cursor_;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!alive[i]) continue;
-        if (skip == 0) {
-          out[i] = CmAdvice::kActive;
-          return;
-        }
-        --skip;
-      }
+      std::uint32_t k = 0;
+      alive.for_each([&](std::size_t i) {
+        if (k++ == pick) out[i] = CmAdvice::kActive;
+      });
       break;
     }
     case PostStabilization::kFixedMin: {

@@ -9,38 +9,18 @@
 
 namespace ccd {
 
-namespace {
-
-[[maybe_unused]] bool is_clique(const Topology& topo) {
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    if (topo.degree(i) + 1 != topo.size()) return false;
-  }
-  return true;
-}
-
-/// Iterate the set bits of `word` (ascending), calling fn(bit_index).
-template <typename Fn>
-inline void for_each_bit(std::uint64_t word, std::size_t base, Fn&& fn) {
-  while (word) {
-    fn(base + static_cast<std::size_t>(std::countr_zero(word)));
-    word &= word - 1;
-  }
-}
-
-}  // namespace
-
 LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
     : lanes_(worlds.size()), options_(options), worlds_(std::move(worlds)) {
   assert(lanes_ >= 1 && lanes_ <= kLaneWidth);
   n_ = worlds_[0].world.processes.size();
   assert(n_ >= 1);  // n = 0 never enters the lane path (scalar tail)
-  words_ = (n_ + 63) / 64;
+  words_ = mask_words(n_);
   for ([[maybe_unused]] const EngineWorld& ew : worlds_) {
     assert(ew.world.processes.size() == n_);
     assert(ew.topology.size() == n_);
     assert(ew.channel == worlds_[0].channel);
     assert(ew.scope == worlds_[0].scope);
-    assert(ew.scope == CollisionScope::kLocal || is_clique(ew.topology));
+    assert(ew.scope == CollisionScope::kLocal || ew.topology.is_clique());
     assert(ew.world.initial_values.empty() ||
            ew.world.initial_values.size() == n_);
   }
@@ -58,17 +38,14 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
                                  : (std::uint64_t{1} << lanes_) - 1;
   const std::uint64_t all_lanes = active_;
 
-  alive_pw_.assign(lanes_ * words_, 0);
-  halted_pw_.assign(lanes_ * words_, 0);
-  participating_pw_.assign(lanes_ * words_, 0);
-  sent_pw_.assign(lanes_ * words_, 0);
+  alive_.assign(lanes_, ProcessSet(n_, true));
+  halted_.assign(lanes_, ProcessSet(n_));
+  participating_.assign(lanes_, ProcessSet(n_));
+  sent_.assign(lanes_, ProcessSet(n_));
+  crash_.assign(lanes_, ProcessSet(n_));
   alive_lw_.assign(n_, all_lanes);
   decided_lw_.assign(n_, 0);
 
-  alive_vb_.resize(lanes_);
-  participating_vb_.resize(lanes_);
-  sent_vb_.resize(lanes_);
-  crash_mask_vb_.resize(lanes_);
   cm_advice_.resize(lanes_);
   cd_advice_.resize(lanes_);
   recv_count_.resize(lanes_);
@@ -105,10 +82,6 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
                                  w.initial_values[i]);
     }
 
-    alive_vb_[l].assign(n_, true);
-    participating_vb_[l].assign(n_, false);
-    sent_vb_[l].assign(n_, false);
-    crash_mask_vb_[l].assign(n_, false);
     cd_advice_[l].assign(n_, CdAdvice::kNull);
     cm_advice_[l].reserve(n_);
     recv_count_[l].assign(n_, 0);
@@ -117,14 +90,7 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
     recv_[l].resize(n_);
     decided_value_[l].assign(n_, kNoValue);
 
-    std::uint64_t* alive = &alive_pw_[lane_base(l)];
-    std::uint64_t* halted = &halted_pw_[lane_base(l)];
-    for (std::size_t i = 0; i < n_; ++i) {
-      alive[i / 64] |= std::uint64_t{1} << (i % 64);
-      const bool h = w.processes[i]->halted();
-      if (h) halted[i / 64] |= std::uint64_t{1} << (i % 64);
-      participating_vb_[l][i] = !h;
-    }
+    for (std::size_t i = 0; i < n_; ++i) note_halt_state(l, i);
   }
   if (worlds_[0].channel == ChannelModel::kMatrix) delivery_.reset(n_, false);
 }
@@ -138,42 +104,29 @@ bool LaneEngine::all_correct_decided(std::size_t l) const {
 }
 
 void LaneEngine::note_halt_state(std::size_t l, std::size_t i) {
-  const bool h = worlds_[l].world.processes[i]->halted();
-  std::uint64_t& word = halted_pw_[lane_base(l) + i / 64];
-  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-  if (h) {
-    word |= bit;
-    participating_vb_[l][i] = false;
-  } else {
-    word &= ~bit;
-    participating_vb_[l][i] = alive_vb_[l][i];
-  }
+  halted_[l].set(i, worlds_[l].world.processes[i]->halted());
 }
 
 void LaneEngine::commit_crashes(std::size_t l, Round r) {
-  const std::vector<bool>& mask = crash_mask_vb_[l];
   const std::uint64_t lane_bit = std::uint64_t{1} << l;
-  std::uint64_t* alive = &alive_pw_[lane_base(l)];
-  std::uint64_t* part = &participating_pw_[lane_base(l)];
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (mask[i] && alive_vb_[l][i]) {
-      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-      alive[i / 64] &= ~bit;
-      part[i / 64] &= ~bit;
+  ProcessSet& alive = alive_[l];
+  ProcessSet& part = participating_[l];
+  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
+    const std::uint64_t hit = crash_[l].data()[wdx] & alive.data()[wdx];
+    for_each_bit(hit, wdx * 64, [&](std::size_t i) {
+      alive.unset(i);
+      part.unset(i);
       alive_lw_[i] &= ~lane_bit;
-      alive_vb_[l][i] = false;
-      participating_vb_[l][i] = false;
       --num_alive_[l];
       ++crashes_applied_[l];
       logs_[l].record_crash(static_cast<ProcessId>(i), r);
-    }
+    });
   }
 }
 
 void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
   World& w = worlds_[l].world;
-  const std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  const std::uint64_t* part = &participating_pw_[lane_base(l)];
+  const std::uint64_t* sent = sent_[l].data();
   std::vector<std::uint32_t>& rc = recv_count_[l];
   std::fill(rc.begin(), rc.end(), 0);
 
@@ -193,56 +146,40 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
     std::sort(shared_recv_.begin(), shared_recv_.end());
     recv_shared_ = true;
     const auto count = static_cast<std::uint32_t>(shared_recv_.size());
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(part[wdx], wdx * 64, [&](std::size_t i) {
-        rc[i] = count;
-        counters_[l].messages_delivered += count;
-      });
-    }
+    participating_[l].for_each([&](std::size_t i) {
+      rc[i] = count;
+      counters_[l].messages_delivered += count;
+    });
     return;
   }
 
   // The adversary contract: a reset matrix in, delivery decisions out,
   // self-delivery enforced afterwards (Definition 11, constraint 5).
-  {
-    std::vector<bool>& sv = sent_vb_[l];
-    sv.assign(n_, false);
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(sent[wdx], wdx * 64, [&](std::size_t j) { sv[j] = true; });
-    }
-    delivery_.reset(n_, false);
-    w.loss->decide_delivery(r, sv, delivery_);
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(sent[wdx], wdx * 64,
-                   [&](std::size_t j) { delivery_.set(j, j, true); });
-    }
-  }
+  delivery_.reset(n_, false);
+  w.loss->decide_delivery(r, sent_[l], delivery_);
+  sent_[l].for_each([&](std::size_t j) { delivery_.set(j, j, true); });
 
-  // Clique: the receiver set is the participation mask, and only set bits
-  // of the sent words are ever visited (the scalar engine scans all n
-  // senders per receiver).
-  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    for_each_bit(part[wdx], wdx * 64, [&](std::size_t i) {
-      std::vector<Message>& in = recv_[l][i];
-      in.clear();
-      for (std::size_t sw = 0; sw < words_; ++sw) {
-        for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
-          if (delivery_.delivered(i, j)) {
-            in.push_back(sent_msg_[l][j]);
-          }
-        });
-      }
-      std::sort(in.begin(), in.end());
-      rc[i] = static_cast<std::uint32_t>(in.size());
-      counters_[l].messages_delivered += rc[i];
-    });
-  }
+  // Clique: the receiver set is the participation mask, and receiver i's
+  // messages are the set bits of sent & row(i) -- non-senders and lost
+  // messages are never visited.
+  participating_[l].for_each([&](std::size_t i) {
+    std::vector<Message>& in = recv_[l][i];
+    in.clear();
+    const std::uint64_t* row = delivery_.row(i);
+    for (std::size_t sw = 0; sw < words_; ++sw) {
+      for_each_bit(sent[sw] & row[sw], sw * 64, [&](std::size_t j) {
+        in.push_back(sent_msg_[l][j]);
+      });
+    }
+    std::sort(in.begin(), in.end());
+    rc[i] = static_cast<std::uint32_t>(in.size());
+    counters_[l].messages_delivered += rc[i];
+  });
 }
 
 void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
   World& w = worlds_[l].world;
-  const std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
+  const std::uint64_t* sent = sent_[l].data();
   std::vector<std::uint32_t>& rc = recv_count_[l];
   std::vector<std::uint32_t>& lc = local_c_[l];
   std::fill(rc.begin(), rc.end(), 0);
@@ -250,48 +187,38 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
 
   const bool all = w.loss->always_delivers();
   if (!all) {
-    std::vector<bool>& sv = sent_vb_[l];
-    sv.assign(n_, false);
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(sent[wdx], wdx * 64, [&](std::size_t j) { sv[j] = true; });
-    }
     delivery_.reset(n_, false);
-    w.loss->decide_delivery(r, sv, delivery_);
+    w.loss->decide_delivery(r, sent_[l], delivery_);
   }
 
   // Ground-truth contention c_i is counted over the neighborhood whether or
   // not anything was delivered; the adversary's matrix is masked by
-  // adjacency.  Neighbor lists are sorted ascending, so set-bit order is
-  // exactly the scalar engine's iteration order.
-  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
-      std::vector<Message>& in = recv_[l][i];
-      in.clear();
-      std::uint32_t c = 0;
-      if ((sent[i / 64] >> (i % 64)) & 1u) {
-        ++c;                              // own broadcast counts toward c_i
-        in.push_back(sent_msg_[l][i]);    // and is always self-delivered
-      }
-      const std::uint64_t* adj = &adj_[i * words_];
-      for (std::size_t sw = 0; sw < words_; ++sw) {
-        for_each_bit(sent[sw] & adj[sw], sw * 64, [&](std::size_t j) {
-          ++c;
-          if (all || delivery_.delivered(i, j)) {
-            in.push_back(sent_msg_[l][j]);
-          }
-        });
-      }
-      std::sort(in.begin(), in.end());
-      rc[i] = static_cast<std::uint32_t>(in.size());
-      counters_[l].messages_delivered += rc[i];
-      lc[i] = c;
-    });
-  }
+  // adjacency, so receiver i hears the set bits of sent & adj(i) & row(i).
+  alive_[l].for_each([&](std::size_t i) {
+    std::vector<Message>& in = recv_[l][i];
+    in.clear();
+    std::uint32_t c = 0;
+    if (sent_[l][i]) {
+      ++c;                              // own broadcast counts toward c_i
+      in.push_back(sent_msg_[l][i]);    // and is always self-delivered
+    }
+    const std::uint64_t* adj = &adj_[i * words_];
+    const std::uint64_t* row = all ? nullptr : delivery_.row(i);
+    for (std::size_t sw = 0; sw < words_; ++sw) {
+      const std::uint64_t heard = sent[sw] & adj[sw];
+      c += static_cast<std::uint32_t>(std::popcount(heard));
+      for_each_bit(all ? heard : heard & row[sw], sw * 64,
+                   [&](std::size_t j) { in.push_back(sent_msg_[l][j]); });
+    }
+    std::sort(in.begin(), in.end());
+    rc[i] = static_cast<std::uint32_t>(in.size());
+    counters_[l].messages_delivered += rc[i];
+    lc[i] = c;
+  });
 }
 
 void LaneEngine::deliver_capture(std::size_t l) {
-  const std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  const std::uint64_t* alive = &alive_pw_[lane_base(l)];
+  const std::uint64_t* sent = sent_[l].data();
   const MhLinkModel& link = worlds_[l].link;
   Rng& rng = link_rng_[l];
   std::vector<std::uint32_t>& rc = recv_count_[l];
@@ -301,40 +228,38 @@ void LaneEngine::deliver_capture(std::size_t l) {
 
   // Receivers ascending, dead skipped WITHOUT consuming randomness -- the
   // per-lane RNG stream must advance exactly as the scalar engine's.
-  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
-      std::vector<Message>& in = recv_[l][i];
-      in.clear();
-      broadcasting_neighbors_.clear();
-      const std::uint64_t* adj = &adj_[i * words_];
-      for (std::size_t sw = 0; sw < words_; ++sw) {
-        for_each_bit(sent[sw] & adj[sw], sw * 64, [&](std::size_t j) {
-          broadcasting_neighbors_.push_back(static_cast<std::uint32_t>(j));
-        });
+  alive_[l].for_each([&](std::size_t i) {
+    std::vector<Message>& in = recv_[l][i];
+    in.clear();
+    broadcasting_neighbors_.clear();
+    const std::uint64_t* adj = &adj_[i * words_];
+    for (std::size_t sw = 0; sw < words_; ++sw) {
+      for_each_bit(sent[sw] & adj[sw], sw * 64, [&](std::size_t j) {
+        broadcasting_neighbors_.push_back(static_cast<std::uint32_t>(j));
+      });
+    }
+    std::uint32_t c =
+        static_cast<std::uint32_t>(broadcasting_neighbors_.size());
+    if (sent_[l][i]) {
+      ++c;
+      in.push_back(sent_msg_[l][i]);
+    }
+    if (broadcasting_neighbors_.size() == 1) {
+      if (rng.chance(link.p_single)) {
+        in.push_back(sent_msg_[l][broadcasting_neighbors_.front()]);
       }
-      std::uint32_t c =
-          static_cast<std::uint32_t>(broadcasting_neighbors_.size());
-      if ((sent[i / 64] >> (i % 64)) & 1u) {
-        ++c;
-        in.push_back(sent_msg_[l][i]);
+    } else if (broadcasting_neighbors_.size() > 1) {
+      if (rng.chance(link.p_capture)) {
+        const std::uint32_t j = broadcasting_neighbors_[rng.below(
+            broadcasting_neighbors_.size())];
+        in.push_back(sent_msg_[l][j]);
       }
-      if (broadcasting_neighbors_.size() == 1) {
-        if (rng.chance(link.p_single)) {
-          in.push_back(sent_msg_[l][broadcasting_neighbors_.front()]);
-        }
-      } else if (broadcasting_neighbors_.size() > 1) {
-        if (rng.chance(link.p_capture)) {
-          const std::uint32_t j = broadcasting_neighbors_[rng.below(
-              broadcasting_neighbors_.size())];
-          in.push_back(sent_msg_[l][j]);
-        }
-      }
-      std::sort(in.begin(), in.end());
-      rc[i] = static_cast<std::uint32_t>(in.size());
-      counters_[l].messages_delivered += rc[i];
-      lc[i] = c;
-    });
-  }
+    }
+    std::sort(in.begin(), in.end());
+    rc[i] = static_cast<std::uint32_t>(in.size());
+    counters_[l].messages_delivered += rc[i];
+    lc[i] = c;
+  });
 }
 
 void LaneEngine::lane_round(std::size_t l, Round r) {
@@ -346,17 +271,15 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   // Participation snapshot for this round: alive and not halted.  Both
   // flags are event-maintained (crash commits, halt memoization), so the
   // snapshot is W word ops instead of n virtual halted() probes.
-  std::uint64_t* part = &participating_pw_[lane_base(l)];
-  {
-    const std::uint64_t* alive = &alive_pw_[lane_base(l)];
-    const std::uint64_t* halted = &halted_pw_[lane_base(l)];
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      part[wdx] = alive[wdx] & ~halted[wdx];
-    }
+  ProcessSet& part = participating_[l];
+  const std::uint64_t* alive = alive_[l].data();
+  const std::uint64_t* halted = halted_[l].data();
+  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
+    part.data()[wdx] = alive[wdx] & ~halted[wdx];
   }
 
   // W_r: contention advice.
-  w.cm->advise(r, participating_vb_[l], cm_advice_[l]);
+  w.cm->advise(r, part, cm_advice_[l]);
   cm_advice_[l].resize(n_, CmAdvice::kPassive);
   ++ctr.cm_advice_calls;
 
@@ -365,8 +288,8 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   // Crash point A (kBeforeSend): marked processes are silent from round r
   // on.
   if (faults) {
-    crash_mask_vb_[l].assign(n_, false);
-    w.fault->crash_before_send(r, alive_vb_[l], crash_mask_vb_[l]);
+    crash_[l].clear();
+    w.fault->crash_before_send(r, alive_[l], crash_[l]);
     const std::uint64_t pre = crashes_applied_[l];
     commit_crashes(l, r);
     ctr.crashes_before_send += crashes_applied_[l] - pre;
@@ -374,30 +297,28 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
 
   // M_r: message assignments.  Senders land as set bits; the message slot
   // is valid iff the bit is (no per-round optional churn).
-  std::uint64_t* sent = &sent_pw_[lane_base(l)];
-  std::fill(sent, sent + words_, 0);
+  ProcessSet& sent = sent_[l];
+  sent.clear();
   std::uint32_t& bc = broadcaster_count_[l];
   bc = 0;
-  for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    for_each_bit(part[wdx], wdx * 64, [&](std::size_t i) {
-      std::optional<Message> m = w.processes[i]->on_send(r, cm_advice_[l][i]);
-      if (m.has_value()) {
-        sent_msg_[l][i] = *m;
-        sent[wdx] |= std::uint64_t{1} << (i % 64);
-        ++bc;
-        ++total_broadcasts_[l];
-      }
-      note_halt_state(l, i);
-    });
-  }
+  part.for_each([&](std::size_t i) {
+    std::optional<Message> m = w.processes[i]->on_send(r, cm_advice_[l][i]);
+    if (m.has_value()) {
+      sent_msg_[l][i] = *m;
+      sent.set(i);
+      ++bc;
+      ++total_broadcasts_[l];
+    }
+    note_halt_state(l, i);
+  });
 
   // Crash point B (kAfterSend): the round-r message is out, the transition
   // is not taken.  kLocal commits immediately; kGlobal defers so the
   // crasher's round-r view still forms.
   const std::uint64_t pre_b = crashes_applied_[l];
   if (faults) {
-    crash_mask_vb_[l].assign(n_, false);
-    w.fault->crash_after_send(r, alive_vb_[l], crash_mask_vb_[l]);
+    crash_[l].clear();
+    w.fault->crash_after_send(r, alive_[l], crash_[l]);
     if (local) commit_crashes(l, r);
   }
 
@@ -422,40 +343,26 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
     ++ctr.cd_advice_calls;
     if (bc >= 2) ++ctr.collisions;
   } else {
-    const std::uint64_t* alive = &alive_pw_[lane_base(l)];
-    for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-      for_each_bit(alive[wdx], wdx * 64, [&](std::size_t i) {
-        cd_advice_[l][i] = w.cd->advise_local(r, static_cast<ProcessId>(i),
-                                              local_c_[l][i],
-                                              recv_count_[l][i]);
-        ++ctr.cd_advice_calls;
-        if (local_c_[l][i] >= 2) ++ctr.collisions;
-      });
-    }
+    alive_[l].for_each([&](std::size_t i) {
+      cd_advice_[l][i] = w.cd->advise_local(r, static_cast<ProcessId>(i),
+                                            local_c_[l][i],
+                                            recv_count_[l][i]);
+      ++ctr.cd_advice_calls;
+      if (local_c_[l][i] >= 2) ++ctr.collisions;
+    });
   }
   w.cm->observe(r, bc);
 
   // C_r: transitions (skipped for processes crashing this round).  kLocal
   // consults the LIVE halted flag (a process that halted inside its own
   // on_send takes no transition); kGlobal uses the round-start snapshot
-  // minus this round's after-send crashers.
+  // minus this round's after-send crashers (crash_ stays empty when the
+  // lane has no failure adversary).
   const std::uint64_t lane_bit = std::uint64_t{1} << l;
+  const std::uint64_t* crash_b = crash_[l].data();
   for (std::size_t wdx = 0; wdx < words_; ++wdx) {
-    std::uint64_t takers;
-    if (local) {
-      takers = alive_pw_[lane_base(l) + wdx] &
-               ~halted_pw_[lane_base(l) + wdx];
-    } else {
-      std::uint64_t crash_b = 0;
-      if (faults) {
-        const std::vector<bool>& mask = crash_mask_vb_[l];
-        const std::size_t hi = std::min(n_, (wdx + 1) * 64);
-        for (std::size_t i = wdx * 64; i < hi; ++i) {
-          if (mask[i]) crash_b |= std::uint64_t{1} << (i % 64);
-        }
-      }
-      takers = part[wdx] & ~crash_b;
-    }
+    const std::uint64_t takers = local ? alive[wdx] & ~halted[wdx]
+                                       : part.data()[wdx] & ~crash_b[wdx];
     for_each_bit(takers, wdx * 64, [&](std::size_t i) {
       w.processes[i]->on_receive(
           r, recv_shared_ ? shared_recv_ : recv_[l][i], cd_advice_[l][i],

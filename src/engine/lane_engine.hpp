@@ -6,11 +6,15 @@
 // Layout is struct-of-arrays in BOTH directions:
 //
 //  * process words -- per lane, the alive / halted / participating / sent
-//    flags over processes are packed ceil(n/64) `uint64_t`s wide.  The
-//    delivery loops iterate SET BITS of `sent & adjacency_row(i)` instead
-//    of scanning all n senders per receiver, which collapses the scalar
-//    engine's O(n^2) clique delivery masking to O(broadcasters * n / 64)
-//    word operations -- the SIMD-in-a-register fast path PR 5 deferred.
+//    / crash masks are ProcessSets, ceil(n/64) `uint64_t`s wide, and they
+//    are the ONLY copy: the same objects are handed to the components
+//    (ContentionManager::advise, FailureAdversary::crash_*,
+//    LossAdversary::decide_delivery), so no per-process mirror is kept in
+//    sync.  The delivery loops iterate SET BITS of `sent & row(i)`, where
+//    row(i) is receiver i's adjacency row on a graph, its word row of the
+//    DeliveryMatrix under a loss adversary, or both ANDed on a graph with
+//    loss -- instead of probing all n senders per receiver:
+//    O(delivered + n/64) word operations per receiver rather than O(n).
 //
 //  * lane words -- per process, one `uint64_t` whose bit l mirrors lane
 //    l's alive / decided flag.  Cross-lane sweeps (which lanes still have
@@ -19,7 +23,8 @@
 //    per round, not O(n * lanes) flag tests.
 //
 // EQUIVALENCE CONTRACT (the whole point -- see
-// tests/engine/lane_differential_test.cpp): a lane's observable execution
+// tests/engine/lane_differential_test.cpp and, past one process word,
+// tests/engine/lane_multiword_test.cpp): a lane's observable execution
 // is byte-for-byte the scalar RoundEngine's.  Each lane owns its OWN
 // component objects (cm / cd / loss / fault / processes / link RNG), built
 // exactly as the scalar path builds them, and the engine performs the SAME
@@ -28,7 +33,7 @@
 // identically and reports, golden FNV-1a hashes, and per-run EngineCounters
 // are exact.  The speedup comes only from engine-owned bookkeeping:
 //
-//  * bitmask words replace vector<bool> scans (masks, termination);
+//  * bitmask words replace per-process scans (masks, termination);
 //  * senders are iterated as set bits, never scanned;
 //  * per-round traces are not recorded (reports never read them; the
 //    scalar consensus adapter records them unconditionally);
@@ -55,6 +60,7 @@
 #include <vector>
 
 #include "engine/round_engine.hpp"
+#include "model/process_set.hpp"
 #include "multihop/topology.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/execution_log.hpp"
@@ -126,10 +132,6 @@ class LaneEngine {
   }
 
  private:
-  std::size_t lane_base(std::size_t l) const { return l * words_; }
-  std::uint64_t adj_word(std::size_t i, std::size_t w) const {
-    return adj_[i * words_ + w];
-  }
   void commit_crashes(std::size_t l, Round r);
   void lane_round(std::size_t l, Round r);
   void deliver_matrix_global(std::size_t l, Round r);
@@ -150,23 +152,18 @@ class LaneEngine {
   // Shared across lanes: adjacency bit rows (row i = neighbors of i).
   std::vector<std::uint64_t> adj_;  // [n][words_]
 
-  // Process words, per lane ([lanes][words_], flattened).
-  std::vector<std::uint64_t> alive_pw_;
-  std::vector<std::uint64_t> halted_pw_;
-  std::vector<std::uint64_t> participating_pw_;  // round-start snapshot
-  std::vector<std::uint64_t> sent_pw_;
+  // Process masks, per lane -- also the masks the components receive.
+  std::vector<ProcessSet> alive_;
+  std::vector<ProcessSet> halted_;
+  std::vector<ProcessSet> participating_;  // round-start snapshot
+  std::vector<ProcessSet> sent_;
+  std::vector<ProcessSet> crash_;  // the failure adversary's latest marks
 
   // Lane words, per process (bit l = lane l).
   std::vector<std::uint64_t> alive_lw_;
   std::vector<std::uint64_t> decided_lw_;
 
-  // Per-lane mirrors handed to components (identical values to the scalar
-  // engine's vectors; alive/participating are event-maintained, not
-  // rebuilt per round).
-  std::vector<std::vector<bool>> alive_vb_;
-  std::vector<std::vector<bool>> participating_vb_;
-  std::vector<std::vector<bool>> sent_vb_;
-  std::vector<std::vector<bool>> crash_mask_vb_;
+  // Per-lane component outputs and receive state.
   std::vector<std::vector<CmAdvice>> cm_advice_;
   std::vector<std::vector<CdAdvice>> cd_advice_;
   std::vector<std::vector<std::uint32_t>> recv_count_;

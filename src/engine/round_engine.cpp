@@ -8,17 +8,6 @@
 
 namespace ccd {
 
-namespace {
-
-[[maybe_unused]] bool is_clique(const Topology& topo) {
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    if (topo.degree(i) + 1 != topo.size()) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 RoundEngine::RoundEngine(EngineWorld world, EngineOptions options)
     : world_(std::move(world)),
       options_(options),
@@ -29,7 +18,8 @@ RoundEngine::RoundEngine(EngineWorld world, EngineOptions options)
   assert(world_.topology.size() == n);
   // The global oracle is only meaningful where every broadcaster is a
   // neighbor of every receiver; non-clique graphs must use kLocal.
-  assert(world_.scope == CollisionScope::kLocal || is_clique(world_.topology));
+  assert(world_.scope == CollisionScope::kLocal ||
+         world_.topology.is_clique());
   assert(world_.world.initial_values.empty() ||
          world_.world.initial_values.size() == n);
   // Degenerate-world robustness: a caller-assembled World may omit
@@ -45,11 +35,11 @@ RoundEngine::RoundEngine(EngineWorld world, EngineOptions options)
   if (!world_.world.fault) world_.world.fault = std::make_unique<NoFailures>();
 
   num_alive_ = n;
-  alive_.assign(n, true);
-  participating_.assign(n, false);
+  alive_.reset(n, true);
+  participating_.reset(n);
   decided_value_.assign(n, kNoValue);
-  crash_mask_.assign(n, false);
-  sent_flag_.assign(n, false);
+  crash_mask_.reset(n);
+  sent_.reset(n);
   sent_msg_.resize(n);
   recv_.resize(n);
   recv_count_.assign(n, 0);
@@ -72,14 +62,15 @@ bool RoundEngine::all_correct_decided() const {
 }
 
 void RoundEngine::commit_crashes(Round r) {
-  for (std::size_t i = 0; i < crash_mask_.size(); ++i) {
-    if (crash_mask_[i] && alive_[i]) {
-      alive_[i] = false;
-      participating_[i] = false;
+  for (std::size_t w = 0; w < alive_.words(); ++w) {
+    const std::uint64_t hit = crash_mask_.data()[w] & alive_.data()[w];
+    for_each_bit(hit, w * 64, [&](std::size_t i) {
+      alive_.unset(i);
+      participating_.unset(i);
       --num_alive_;
       ++crashes_applied_;
       log_.record_crash(static_cast<ProcessId>(i), r);
-    }
+    });
   }
 }
 
@@ -89,22 +80,22 @@ void RoundEngine::deliver_matrix(Round r) {
   // hold by construction (a receiver gets at most one copy of each sent
   // message), self-delivery is enforced here (Definition 11, constraint 5).
   delivery_.reset(n, false);
-  world_.world.loss->decide_delivery(r, sent_flag_, delivery_);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (sent_flag_[j]) delivery_.set(j, j, true);
-  }
+  world_.world.loss->decide_delivery(r, sent_, delivery_);
+  sent_.for_each([&](std::size_t j) { delivery_.set(j, j, true); });
   if (world_.scope == CollisionScope::kGlobal) {
     // Clique: every sender is adjacent to every receiver, so the adjacency
     // mask is the identity and the receiver set is the participation mask.
+    // Receiver i's messages are the set bits of sent & row(i), ascending.
     for (std::size_t i = 0; i < n; ++i) {
       recv_[i].clear();
       recv_count_[i] = 0;
       local_c_[i] = broadcaster_count_;
       if (!participating_[i]) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (sent_flag_[j] && delivery_.delivered(i, j)) {
+      const std::uint64_t* row = delivery_.row(i);
+      for (std::size_t w = 0; w < sent_.words(); ++w) {
+        for_each_bit(sent_.data()[w] & row[w], w * 64, [&](std::size_t j) {
           recv_[i].push_back(*sent_msg_[j]);
-        }
+        });
       }
       // Receive sets are multisets; sort for a canonical representation so
       // views compare structurally (Definition 12).
@@ -124,12 +115,12 @@ void RoundEngine::deliver_matrix(Round r) {
         continue;
       }
       std::uint32_t c = 0;
-      if (sent_flag_[i]) {
+      if (sent_[i]) {
         ++c;                              // own broadcast counts toward c_i
         recv_[i].push_back(*sent_msg_[i]);  // and is always self-delivered
       }
       for (std::uint32_t j : world_.topology.neighbors(i)) {
-        if (!sent_flag_[j]) continue;
+        if (!sent_[j]) continue;
         ++c;
         if (delivery_.delivered(i, j)) recv_[i].push_back(*sent_msg_[j]);
       }
@@ -190,7 +181,7 @@ void RoundEngine::step() {
   // Participation mask for the contention manager: crashed and halted
   // processes are out of the protocol.
   for (std::size_t i = 0; i < n; ++i) {
-    participating_[i] = alive_[i] && !world_.world.processes[i]->halted();
+    participating_.set(i, alive_[i] && !world_.world.processes[i]->halted());
   }
 
   // W_r: contention advice.
@@ -200,21 +191,21 @@ void RoundEngine::step() {
 
   // Crash point A (kBeforeSend): marked processes are silent from round r
   // on.
-  crash_mask_.assign(n, false);
+  crash_mask_.clear();
   world_.world.fault->crash_before_send(r, alive_, crash_mask_);
   const std::uint64_t crashes_pre_a = crashes_applied_;
   commit_crashes(r);
   counters_.crashes_before_send += crashes_applied_ - crashes_pre_a;
 
   // M_r: message assignments.
-  sent_flag_.assign(n, false);
+  sent_.clear();
   sent_msg_.assign(n, std::nullopt);
   broadcaster_count_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (!participating_[i]) continue;
     sent_msg_[i] = world_.world.processes[i]->on_send(r, cm_advice_[i]);
     if (sent_msg_[i].has_value()) {
-      sent_flag_[i] = true;
+      sent_.set(i);
       ++broadcaster_count_;
       ++total_broadcasts_;
     }
@@ -224,7 +215,7 @@ void RoundEngine::step() {
   // is not taken (Definition 11, constraint 2's fail branch).  kLocal
   // commits immediately -- a dead radio leaves the channel before
   // delivery; kGlobal defers so the crasher's round-r view still forms.
-  crash_mask_.assign(n, false);
+  crash_mask_.clear();
   world_.world.fault->crash_after_send(r, alive_, crash_mask_);
   const std::uint64_t crashes_pre_b = crashes_applied_;
   if (local) commit_crashes(r);
@@ -315,9 +306,7 @@ RunResult RoundEngine::run(Round max_rounds) {
       result.last_decision_round = d.round;
     }
   }
-  for (bool a : alive_) {
-    if (!a) ++result.num_crashed;
-  }
+  result.num_crashed = static_cast<std::uint32_t>(size() - alive_.count());
   return result;
 }
 

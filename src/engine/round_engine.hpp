@@ -42,17 +42,20 @@
 // difference is only where the corpse is still observable, and each
 // adapter pins the reading its tests and golden reports were built on.
 //
-// Hot loop: every per-round buffer (send flags, receive multisets, advice
-// vectors, the delivery matrix, alive/participating bitmasks -- packed
-// std::vector<bool>) is preallocated at construction and reused; after the
-// first round a step() performs no heap allocation unless round traces or
-// per-process views are being recorded (bench_sim_micro's BM_EngineRound
-// pins the steady state).
+// Hot loop: every per-round buffer (receive multisets, advice vectors, the
+// word-row delivery matrix, and the alive / participating / sent / crash
+// masks -- ProcessSets, the same n-bit word masks the components take) is
+// preallocated at construction and reused; after the first round a step()
+// performs no heap allocation unless round traces or per-process views are
+// being recorded (bench_sim_micro's BM_EngineRound pins the steady state).
+// Clique delivery reads each receiver's messages as the set bits of
+// `sent & row(i)`, ascending, never probing non-senders.
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "model/process_set.hpp"
 #include "multihop/topology.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/execution_log.hpp"
@@ -168,15 +171,15 @@ class RoundEngine {
   std::size_t num_alive_ = 0;
   std::uint32_t broadcaster_count_ = 0;
 
-  std::vector<bool> alive_;
-  std::vector<bool> participating_;  // alive and not halted; scratch
+  ProcessSet alive_;
+  ProcessSet participating_;  // alive and not halted; scratch
   std::vector<Value> decided_value_;
 
   // Per-round scratch buffers (preallocated; reused every round).
   std::vector<CmAdvice> cm_advice_;
   std::vector<CdAdvice> cd_advice_;
-  std::vector<bool> crash_mask_;
-  std::vector<bool> sent_flag_;
+  ProcessSet crash_mask_;
+  ProcessSet sent_;
   std::vector<std::optional<Message>> sent_msg_;
   std::vector<std::vector<Message>> recv_;
   std::vector<std::uint32_t> recv_count_;

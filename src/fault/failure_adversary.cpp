@@ -9,46 +9,40 @@ ScheduledCrash::ScheduledCrash(std::vector<CrashEvent> events)
   }
 }
 
-void ScheduledCrash::crash_before_send(Round round,
-                                       const std::vector<bool>& alive,
-                                       std::vector<bool>& out) {
+void ScheduledCrash::crash_before_send(Round round, const ProcessSet& alive,
+                                       ProcessSet& out) {
   for (const CrashEvent& e : events_) {
     if (e.round == round && e.point == CrashPoint::kBeforeSend &&
         e.process < alive.size() && alive[e.process]) {
-      out[e.process] = true;
+      out.set(e.process);
     }
   }
 }
 
-void ScheduledCrash::crash_after_send(Round round,
-                                      const std::vector<bool>& alive,
-                                      std::vector<bool>& out) {
+void ScheduledCrash::crash_after_send(Round round, const ProcessSet& alive,
+                                      ProcessSet& out) {
   for (const CrashEvent& e : events_) {
     if (e.round == round && e.point == CrashPoint::kAfterSend &&
         e.process < alive.size() && alive[e.process]) {
-      out[e.process] = true;
+      out.set(e.process);
     }
   }
 }
 
 RandomCrash::RandomCrash(Options opts) : opts_(opts), rng_(opts.seed) {}
 
-void RandomCrash::crash_before_send(Round round,
-                                    const std::vector<bool>& alive,
-                                    std::vector<bool>& out) {
+void RandomCrash::crash_before_send(Round round, const ProcessSet& alive,
+                                    ProcessSet& out) {
   if (round > opts_.stop_after) return;
-  std::uint32_t alive_count = 0;
-  for (bool a : alive) alive_count += a ? 1 : 0;
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (!alive[i] || alive_count <= 1 || crashes_ >= opts_.max_crashes) {
-      continue;
-    }
+  std::size_t alive_count = alive.count();
+  alive.for_each([&](std::size_t i) {
+    if (alive_count <= 1 || crashes_ >= opts_.max_crashes) return;
     if (rng_.chance(opts_.p)) {
-      out[i] = true;
+      out.set(i);
       ++crashes_;
       --alive_count;
     }
-  }
+  });
 }
 
 }  // namespace ccd

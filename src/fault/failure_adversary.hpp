@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "model/process_set.hpp"
 #include "model/types.hpp"
 #include "util/rng.hpp"
 
@@ -34,10 +35,11 @@ class FailureAdversary {
   virtual ~FailureAdversary() = default;
 
   /// Mark processes to crash before round `round`'s sends.  `out` arrives
-  /// all-false with one slot per process; only currently-alive slots are
-  /// honoured.
-  virtual void crash_before_send(Round round, const std::vector<bool>& alive,
-                                 std::vector<bool>& out) {
+  /// empty, sized to the process count; only currently-alive members are
+  /// honoured.  Adversaries that draw randomness walk `alive` in ascending
+  /// index order.
+  virtual void crash_before_send(Round round, const ProcessSet& alive,
+                                 ProcessSet& out) {
     (void)round;
     (void)alive;
     (void)out;
@@ -45,8 +47,8 @@ class FailureAdversary {
 
   /// Mark processes to crash after round `round`'s sends (their message is
   /// delivered, their transition is skipped).
-  virtual void crash_after_send(Round round, const std::vector<bool>& alive,
-                                std::vector<bool>& out) {
+  virtual void crash_after_send(Round round, const ProcessSet& alive,
+                                ProcessSet& out) {
     (void)round;
     (void)alive;
     (void)out;
@@ -78,10 +80,10 @@ class ScheduledCrash final : public FailureAdversary {
  public:
   explicit ScheduledCrash(std::vector<CrashEvent> events);
 
-  void crash_before_send(Round round, const std::vector<bool>& alive,
-                         std::vector<bool>& out) override;
-  void crash_after_send(Round round, const std::vector<bool>& alive,
-                        std::vector<bool>& out) override;
+  void crash_before_send(Round round, const ProcessSet& alive,
+                         ProcessSet& out) override;
+  void crash_after_send(Round round, const ProcessSet& alive,
+                        ProcessSet& out) override;
   Round last_crash_round() const override { return last_round_; }
   const char* name() const override { return "ScheduledCrash"; }
 
@@ -104,8 +106,8 @@ class RandomCrash final : public FailureAdversary {
 
   explicit RandomCrash(Options opts);
 
-  void crash_before_send(Round round, const std::vector<bool>& alive,
-                         std::vector<bool>& out) override;
+  void crash_before_send(Round round, const ProcessSet& alive,
+                         ProcessSet& out) override;
   Round last_crash_round() const override { return opts_.stop_after; }
   const char* name() const override { return "RandomCrash"; }
 

@@ -93,6 +93,13 @@ std::size_t Topology::max_degree() const {
   return best;
 }
 
+bool Topology::is_clique() const {
+  for (const auto& adj : adjacency_) {
+    if (adj.size() + 1 != size()) return false;
+  }
+  return true;
+}
+
 std::vector<std::uint32_t> Topology::bfs(std::size_t from) const {
   std::vector<std::uint32_t> dist(size(), kUnreachable);
   std::deque<std::uint32_t> queue;

@@ -43,6 +43,9 @@ class Topology {
 
   std::size_t degree(std::size_t i) const { return adjacency_[i].size(); }
   std::size_t max_degree() const;
+  /// True iff every node neighbors every other one (the single-hop model;
+  /// vacuously true for n <= 1).
+  bool is_clique() const;
 
   /// BFS hop distance; kUnreachable if disconnected.
   static constexpr std::uint32_t kUnreachable = ~0u;

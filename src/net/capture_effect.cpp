@@ -5,13 +5,12 @@ namespace ccd {
 CaptureEffectLoss::CaptureEffectLoss(Options opts)
     : opts_(opts), rng_(opts.seed) {}
 
-void CaptureEffectLoss::decide_delivery(Round round,
-                                        const std::vector<bool>& sent,
+void CaptureEffectLoss::decide_delivery(Round round, const ProcessSet& sent,
                                         DeliveryMatrix& out) {
   broadcasters_.clear();
-  for (std::size_t j = 0; j < sent.size(); ++j) {
-    if (sent[j]) broadcasters_.push_back(static_cast<std::uint32_t>(j));
-  }
+  sent.for_each([&](std::size_t j) {
+    broadcasters_.push_back(static_cast<std::uint32_t>(j));
+  });
   if (broadcasters_.empty()) return;
 
   if (broadcasters_.size() == 1) {

@@ -4,23 +4,20 @@ namespace ccd {
 
 EcfAdversary::EcfAdversary(Options opts) : opts_(opts), rng_(opts.seed) {}
 
-void EcfAdversary::fill_random(const std::vector<bool>& sent,
-                               DeliveryMatrix& out) {
+void EcfAdversary::fill_random(const ProcessSet& sent, DeliveryMatrix& out) {
   const std::size_t n = sent.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!sent[j]) continue;
+  sent.for_each([&](std::size_t j) {
     for (std::size_t i = 0; i < n; ++i) {
       if (i == j || rng_.chance(opts_.p_deliver)) out.set(i, j, true);
     }
-  }
+  });
 }
 
-void EcfAdversary::fill_capture(const std::vector<bool>& sent,
-                                DeliveryMatrix& out) {
+void EcfAdversary::fill_capture(const ProcessSet& sent, DeliveryMatrix& out) {
   broadcasters_.clear();
-  for (std::size_t j = 0; j < sent.size(); ++j) {
-    if (sent[j]) broadcasters_.push_back(static_cast<std::uint32_t>(j));
-  }
+  sent.for_each([&](std::size_t j) {
+    broadcasters_.push_back(static_cast<std::uint32_t>(j));
+  });
   if (broadcasters_.empty()) return;
   // Each receiver independently captures one random transmission with
   // probability p_deliver (the capture effect of Section 1.1 [71]); the
@@ -34,19 +31,14 @@ void EcfAdversary::fill_capture(const std::vector<bool>& sent,
   }
 }
 
-void EcfAdversary::decide_delivery(Round round, const std::vector<bool>& sent,
+void EcfAdversary::decide_delivery(Round round, const ProcessSet& sent,
                                    DeliveryMatrix& out) {
-  const std::size_t n = sent.size();
-  std::uint32_t c = 0;
-  for (bool s : sent) c += s ? 1 : 0;
+  const std::size_t c = sent.count();
   if (c == 0) return;
 
   if (round >= opts_.r_cf && c == 1) {
     // ECF obligation: the lone broadcaster is heard by everyone.
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!sent[j]) continue;
-      for (std::size_t i = 0; i < n; ++i) out.set(i, j, true);
-    }
+    out.deliver_all(sent);
     return;
   }
 
@@ -75,10 +67,7 @@ void EcfAdversary::decide_delivery(Round round, const std::vector<bool>& sent,
       fill_capture(sent, out);
       return;
     case ContentionMode::kDeliverAll:
-      for (std::size_t j = 0; j < n; ++j) {
-        if (!sent[j]) continue;
-        for (std::size_t i = 0; i < n; ++i) out.set(i, j, true);
-      }
+      out.deliver_all(sent);
       return;
   }
 }

@@ -15,37 +15,52 @@
 #include <cstdint>
 #include <vector>
 
+#include "model/process_set.hpp"
 #include "model/types.hpp"
 
 namespace ccd {
 
-/// Row-major n x n boolean matrix; entry (receiver, sender).
+/// n x n delivery bits, entry (receiver, sender), stored as word rows:
+/// row(i) is mask_words(n) words whose bit j is delivered(i, j).  Engines
+/// read a receiver's deliveries as `sent & row(i)` -- set-bit iteration in
+/// ascending sender order -- instead of probing all n senders; bits at
+/// sender positions >= n are always clear.
 class DeliveryMatrix {
  public:
   void reset(std::size_t n, bool value);
   bool delivered(std::size_t receiver, std::size_t sender) const {
-    return bits_[receiver * n_ + sender];
+    return (row(receiver)[sender / 64] >> (sender % 64)) & 1u;
   }
   void set(std::size_t receiver, std::size_t sender, bool value) {
-    bits_[receiver * n_ + sender] = value;
+    std::uint64_t& word = bits_[receiver * words_ + sender / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (sender % 64);
+    word = value ? word | bit : word & ~bit;
+  }
+  /// Every receiver gets the message of every member of `senders`.
+  void deliver_all(const ProcessSet& senders);
+  const std::uint64_t* row(std::size_t receiver) const {
+    return &bits_[receiver * words_];
   }
   std::size_t size() const { return n_; }
+  std::size_t words() const { return words_; }
 
  private:
   std::size_t n_ = 0;
-  std::vector<bool> bits_;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> bits_;  // [n][words_]
 };
 
 class LossAdversary {
  public:
   virtual ~LossAdversary() = default;
 
-  /// Decide delivery for round `round`.  `sent[j]` is true iff process j
-  /// broadcast (crashed processes never have sent[j] set).  `out` arrives
-  /// reset to all-false; set (i, j) for every message of j that i receives.
+  /// Decide delivery for round `round`.  `sent` holds process j iff j
+  /// broadcast (crashed processes never do).  `out` arrives reset to
+  /// all-false; set (i, j) for every message of j that i receives.
   /// Self-delivery for senders is enforced by the executor afterwards, so
-  /// adversaries need not (but may) set the diagonal.
-  virtual void decide_delivery(Round round, const std::vector<bool>& sent,
+  /// adversaries need not (but may) set the diagonal.  Adversaries that
+  /// draw randomness walk senders and receivers in ascending index order.
+  virtual void decide_delivery(Round round, const ProcessSet& sent,
                                DeliveryMatrix& out) = 0;
 
   /// The r_cf posited by eventual collision freedom, or kNeverRound if this

@@ -25,7 +25,7 @@ class PartitionAdversary final : public LossAdversary {
 
   explicit PartitionAdversary(Options opts);
 
-  void decide_delivery(Round round, const std::vector<bool>& sent,
+  void decide_delivery(Round round, const ProcessSet& sent,
                        DeliveryMatrix& out) override;
 
   /// ECF holds iff the partition eventually heals.
@@ -34,7 +34,7 @@ class PartitionAdversary final : public LossAdversary {
 
  private:
   void deliver_within_group(std::size_t lo, std::size_t hi,
-                            const std::vector<bool>& sent,
+                            const ProcessSet& sent,
                             DeliveryMatrix& out) const;
 
   Options opts_;

@@ -5,22 +5,18 @@ namespace ccd {
 ProbabilisticLoss::ProbabilisticLoss(Options opts)
     : opts_(opts), rng_(opts.seed) {}
 
-void ProbabilisticLoss::decide_delivery(Round round,
-                                        const std::vector<bool>& sent,
+void ProbabilisticLoss::decide_delivery(Round round, const ProcessSet& sent,
                                         DeliveryMatrix& out) {
   const std::size_t n = sent.size();
-  std::uint32_t c = 0;
-  for (bool s : sent) c += s ? 1 : 0;
   const bool ecf_now =
-      opts_.r_cf != kNeverRound && round >= opts_.r_cf && c == 1;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!sent[j]) continue;
+      opts_.r_cf != kNeverRound && round >= opts_.r_cf && sent.count() == 1;
+  sent.for_each([&](std::size_t j) {
     for (std::size_t i = 0; i < n; ++i) {
       if (i == j || ecf_now || rng_.chance(opts_.p_deliver)) {
         out.set(i, j, true);
       }
     }
-  }
+  });
 }
 
 }  // namespace ccd

@@ -27,13 +27,9 @@ class ScriptedDropLoss final : public LossAdversary {
   ScriptedDropLoss(std::vector<Drop> drops, Round r_cf)
       : drops_(std::move(drops)), r_cf_(r_cf) {}
 
-  void decide_delivery(Round round, const std::vector<bool>& sent,
+  void decide_delivery(Round round, const ProcessSet& sent,
                        DeliveryMatrix& out) override {
-    const std::size_t n = sent.size();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!sent[j]) continue;
-      for (std::size_t i = 0; i < n; ++i) out.set(i, j, true);
-    }
+    out.deliver_all(sent);
     for (const Drop& d : drops_) {
       if (d.round == round) out.set(d.receiver, d.sender, false);
     }

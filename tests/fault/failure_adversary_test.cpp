@@ -7,31 +7,31 @@ namespace {
 
 TEST(NoFailures, NeverCrashesAnyone) {
   NoFailures fault;
-  std::vector<bool> alive(4, true);
-  std::vector<bool> out(4, false);
+  ProcessSet alive(4, true);
+  ProcessSet out(4);
   for (Round r = 1; r <= 10; ++r) {
     fault.crash_before_send(r, alive, out);
     fault.crash_after_send(r, alive, out);
   }
-  for (bool b : out) EXPECT_FALSE(b);
+  EXPECT_FALSE(out.any());
   EXPECT_EQ(fault.last_crash_round(), 0u);
 }
 
 TEST(ScheduledCrash, FiresAtExactRoundAndPoint) {
   ScheduledCrash fault({{3, 1, CrashPoint::kBeforeSend},
                         {5, 2, CrashPoint::kAfterSend}});
-  std::vector<bool> alive(4, true);
-  std::vector<bool> out(4, false);
+  ProcessSet alive(4, true);
+  ProcessSet out(4);
 
   fault.crash_before_send(3, alive, out);
   EXPECT_TRUE(out[1]);
   EXPECT_FALSE(out[2]);
 
-  out.assign(4, false);
+  out.clear();
   fault.crash_after_send(3, alive, out);
   EXPECT_FALSE(out[1]);  // wrong point
 
-  out.assign(4, false);
+  out.clear();
   fault.crash_after_send(5, alive, out);
   EXPECT_TRUE(out[2]);
 
@@ -40,8 +40,8 @@ TEST(ScheduledCrash, FiresAtExactRoundAndPoint) {
 
 TEST(ScheduledCrash, IgnoresAlreadyDeadTargets) {
   ScheduledCrash fault({{2, 0, CrashPoint::kBeforeSend}});
-  std::vector<bool> alive = {false, true};
-  std::vector<bool> out(2, false);
+  ProcessSet alive = ProcessSet::of({false, true});
+  ProcessSet out(2);
   fault.crash_before_send(2, alive, out);
   EXPECT_FALSE(out[0]);
 }
@@ -49,36 +49,28 @@ TEST(ScheduledCrash, IgnoresAlreadyDeadTargets) {
 TEST(RandomCrash, NeverKillsLastSurvivor) {
   RandomCrash fault({.p = 1.0, .stop_after = 100, .max_crashes = 100,
                      .seed = 3});
-  std::vector<bool> alive(5, true);
+  ProcessSet alive(5, true);
   for (Round r = 1; r <= 100; ++r) {
-    std::vector<bool> out(5, false);
+    ProcessSet out(5);
     fault.crash_before_send(r, alive, out);
-    for (std::size_t i = 0; i < 5; ++i) {
-      if (out[i]) alive[i] = false;
-    }
-    int survivors = 0;
-    for (bool a : alive) survivors += a ? 1 : 0;
-    ASSERT_GE(survivors, 1);
+    out.for_each([&](std::size_t i) { alive.unset(i); });
+    ASSERT_GE(alive.count(), 1u);
   }
-  int survivors = 0;
-  for (bool a : alive) survivors += a ? 1 : 0;
-  EXPECT_EQ(survivors, 1);  // p = 1.0 kills everyone else immediately
+  EXPECT_EQ(alive.count(), 1u);  // p = 1.0 kills everyone else immediately
 }
 
 TEST(RandomCrash, RespectsMaxCrashes) {
   RandomCrash fault({.p = 1.0, .stop_after = 100, .max_crashes = 2,
                      .seed = 4});
-  std::vector<bool> alive(6, true);
+  ProcessSet alive(6, true);
   int total = 0;
   for (Round r = 1; r <= 100; ++r) {
-    std::vector<bool> out(6, false);
+    ProcessSet out(6);
     fault.crash_before_send(r, alive, out);
-    for (std::size_t i = 0; i < 6; ++i) {
-      if (out[i]) {
-        alive[i] = false;
-        ++total;
-      }
-    }
+    out.for_each([&](std::size_t i) {
+      alive.unset(i);
+      ++total;
+    });
   }
   EXPECT_EQ(total, 2);
 }
@@ -86,10 +78,10 @@ TEST(RandomCrash, RespectsMaxCrashes) {
 TEST(RandomCrash, StopsAfterConfiguredRound) {
   RandomCrash fault({.p = 0.5, .stop_after = 3, .max_crashes = 100,
                      .seed = 5});
-  std::vector<bool> alive(4, true);
-  std::vector<bool> out(4, false);
+  ProcessSet alive(4, true);
+  ProcessSet out(4);
   fault.crash_before_send(4, alive, out);
-  for (bool b : out) EXPECT_FALSE(b);
+  EXPECT_FALSE(out.any());
   EXPECT_EQ(fault.last_crash_round(), 3u);
 }
 

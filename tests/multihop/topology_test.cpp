@@ -18,6 +18,14 @@ TEST(Topology, CliqueEveryoneAdjacent) {
   EXPECT_EQ(t.diameter(), 1u);
 }
 
+TEST(Topology, IsCliqueOnlyWhenEveryPairIsAdjacent) {
+  EXPECT_TRUE(Topology::clique(1).is_clique());
+  EXPECT_TRUE(Topology::clique(5).is_clique());
+  EXPECT_TRUE(Topology::ring(3).is_clique());  // a triangle
+  EXPECT_FALSE(Topology::line(3).is_clique());
+  EXPECT_FALSE(Topology::grid_n(4).is_clique());
+}
+
 TEST(Topology, LineDistancesAndDiameter) {
   const Topology t = Topology::line(10);
   EXPECT_EQ(t.distance(0, 9), 9u);

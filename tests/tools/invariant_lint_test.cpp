@@ -1,4 +1,4 @@
-// Fixture tests for ccd_invariant_lint: every rule R1-R4 is proven live
+// Fixture tests for ccd_invariant_lint: every rule R1-R5 is proven live
 // by a violating fixture that must fail with the expected keyed
 // diagnostic, a clean fixture that must pass (including forbidden tokens
 // hidden in comments/strings/raw strings), plus the allowlist workflow
@@ -78,13 +78,18 @@ TEST(InvariantLint, BadTreeFailsWithKeyedDiagnosticsForEveryRule) {
   // R4: float accumulation in a report path.
   EXPECT_NE(r.output.find("src/exp/r4_acc.cpp:5: error: [R4.float_accum]"),
             std::string::npos);
-  EXPECT_NE(r.output.find("13 error(s)"), std::string::npos) << r.output;
+  // R5: a std::vector<bool> mask in a component's virtual interface.
+  EXPECT_NE(r.output.find("src/cm/r5_masks.hpp:10: error: [R5.masks]"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("14 error(s)"), std::string::npos) << r.output;
 }
 
 TEST(InvariantLint, GoodTreeIsClean) {
   // Forbidden tokens in comments/strings/raw strings, wall clock in obs/,
-  // unordered containers outside report paths, raw engines inside util/:
-  // all must pass.
+  // unordered containers outside report paths, raw engines inside util/,
+  // std::vector<bool> outside an engine header's virtual interface: all
+  // must pass.
   const LintResult r = run_lint("--root " + fixtures() + "/good");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("0 error(s)"), std::string::npos) << r.output;
@@ -138,7 +143,7 @@ TEST(InvariantLint, ListRulesPrintsCatalog) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   for (const char* key :
        {"R1.rand", "R1.wall_clock", "R1.unordered", "R2.raw_engine",
-        "R3.layering", "R3.dispatch", "R4.float_accum"}) {
+        "R3.layering", "R3.dispatch", "R4.float_accum", "R5.masks"}) {
     EXPECT_NE(r.output.find(key), std::string::npos) << key;
   }
 }

@@ -29,6 +29,10 @@
 //                   through ccd_sweep workers and shard files
 //   R4.float_accum  float/double `+=` folds in report/aggregation paths
 //                   (order-sensitive; breaks byte-identical merges)
+//   R5.masks        std::vector<bool> in a virtual interface of a
+//                   src/{cm,fault,net,engine}/ header: per-round process
+//                   masks cross component interfaces as ProcessSet word
+//                   masks, so engines never keep a second per-process copy
 //
 // Findings are suppressed per (rule, file) via an allowlist (default
 // .ci/lint_allow.txt); every entry must carry a `# justification`, and
@@ -101,6 +105,7 @@ const RuleDoc kRuleDocs[] = {
     {"R3.unknown_layer", "src/ subdirectory missing from the layer DAG"},
     {"R3.dispatch", "src/exp/dispatch/ includes a compute-layer header"},
     {"R4.float_accum", "float/double += fold in report/aggregation path"},
+    {"R5.masks", "std::vector<bool> in a component/engine virtual interface"},
     {"allowlist.stale", "allowlist entry suppressed nothing"},
     {"allowlist.missing_justification", "allowlist entry lacks '# why'"},
     {"allowlist.unknown_rule", "allowlist entry names no known rule"},
@@ -471,6 +476,53 @@ void check_float_accum(const ScannedFile& file,
   }
 }
 
+// R5: in the component and engine headers, a `vector<bool>` inside a
+// declaration (the text between the previous `;`, `{` or `}` and the next
+// `;` or `{`) that says `virtual` or `override` is a process mask crossing
+// a virtual interface.
+void check_masks(const ScannedFile& file,
+                 const std::vector<std::size_t>& lines,
+                 std::vector<Finding>& out) {
+  static const std::set<std::string> kMaskLayers = {"cm", "fault", "net",
+                                                    "engine"};
+  const std::string ext = fs::path(file.path).extension().string();
+  if (!kMaskLayers.count(src_layer_dir(file.path)) ||
+      (ext != ".hpp" && ext != ".h")) {
+    return;
+  }
+  const std::string& code = file.code_only;
+  auto skip_space = [&](std::size_t p) {
+    while (p < code.size() &&
+           (code[p] == ' ' || code[p] == '\t' || code[p] == '\n'))
+      ++p;
+    return p;
+  };
+  for (const Token& t : tokenize(code)) {
+    if (t.text != "vector" || t.next != '<') continue;
+    std::size_t p = skip_space(skip_space(t.pos + t.text.size()) + 1);
+    if (code.compare(p, 4, "bool") != 0 ||
+        (p + 4 < code.size() && ident_char(code[p + 4])) ||
+        code[skip_space(p + 4)] != '>') {
+      continue;
+    }
+    const std::size_t open = code.find_last_of(";{}", t.pos);
+    const std::size_t begin = open == std::string::npos ? 0 : open + 1;
+    const std::size_t end = std::min(code.find_first_of(";{", t.pos),
+                                     code.size());
+    bool is_virtual = false;
+    for (const Token& d : tokenize(code.substr(begin, end - begin))) {
+      is_virtual = is_virtual || d.text == "virtual" || d.text == "override";
+    }
+    if (is_virtual) {
+      emit(out, "R5.masks", file, line_of(lines, t.pos),
+           "std::vector<bool> in a virtual interface: process masks cross "
+           "the component and engine interfaces as ProcessSet "
+           "(model/process_set.hpp), an n-bit word mask the engine passes "
+           "without keeping a per-process copy in sync");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Allowlist.
 
@@ -608,6 +660,7 @@ int run(const Options& opt) {
     const std::vector<std::size_t> lines = line_starts(f.code_only);
     check_tokens(f, lines, findings);
     check_includes(f, lines, findings);
+    check_masks(f, lines, findings);
     const std::string stem = f.path.substr(0, f.path.find_last_of('.'));
     check_float_accum(f, lines, float_decls_by_stem[stem], findings);
   }
