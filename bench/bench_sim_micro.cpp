@@ -1,6 +1,7 @@
 // E12 -- simulator micro-performance (google-benchmark): round throughput
-// of the unified RoundEngine (through both the single-hop Executor adapter
-// and the multihop capture/local configurations), detector advice cost,
+// of the LaneEngine at width 1 (through both the single-hop Executor
+// adapter and the multihop capture/local configurations) and at width 64,
+// detector advice cost,
 // and loss-adversary cost.  Not a paper experiment; establishes that the
 // sweeps in E2..E11 measure algorithm behaviour, not harness overhead --
 // and that the engine's hot loop stays allocation-free in steady state
@@ -14,7 +15,6 @@
 #include "consensus/alg2_zero_oac.hpp"
 #include "consensus/harness.hpp"
 #include "engine/lane_engine.hpp"
-#include "engine/round_engine.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
 #include "fault/failure_adversary.hpp"
@@ -27,6 +27,11 @@
 
 namespace ccd {
 namespace {
+
+/// Sweep-mode engine options: no round or view recording, stepped by hand.
+constexpr EngineOptions kQuiet{/*record_views=*/false,
+                               /*record_rounds=*/false,
+                               /*stop_when_all_decided=*/false};
 
 World bench_world(std::size_t n, bool record_views) {
   (void)record_views;
@@ -91,11 +96,7 @@ void BM_EngineRoundCaptureGrid(benchmark::State& state) {
   ew.scope = CollisionScope::kLocal;
   ew.link = {0.9, 0.3};
   ew.link_seed = 7;
-  EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
-  options.stop_when_all_decided = false;
-  RoundEngine engine(std::move(ew), options);
+  LaneEngine engine(std::move(ew), kQuiet);
   for (auto _ : state) {
     engine.step();
   }
@@ -127,11 +128,7 @@ void BM_EngineRoundMatrixLocal(benchmark::State& state) {
   ew.topology = Topology::grid_n(n);
   ew.channel = ChannelModel::kMatrix;
   ew.scope = CollisionScope::kLocal;
-  EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
-  options.stop_when_all_decided = false;
-  RoundEngine engine(std::move(ew), options);
+  LaneEngine engine(std::move(ew), kQuiet);
   for (auto _ : state) {
     engine.step();
   }
@@ -139,15 +136,15 @@ void BM_EngineRoundMatrixLocal(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRoundMatrixLocal)->Arg(16)->Arg(64)->Arg(256);
 
-// ---- lane-vs-scalar twin pairs ------------------------------------------
+// ---- width-1 vs 64-wide twin pairs ----------------------------------------
 // Each pair constructs a FRESH engine per measurement batch and runs a
 // fixed round count.  A persistent engine drifts into its quiesced steady
 // state over thousands of benchmark iterations (everyone decided, nobody
 // broadcasting) and stops representing what sweeps execute: fresh worlds
 // whose early rounds carry all the contention.  items/sec counts
-// process-rounds across every lane, so the lane/scalar items-per-second
-// ratio IS the per-world-round speedup (construction cost included in
-// both, amortized over the same round count).
+// process-rounds across every lane, so the 64-wide/width-1
+// items-per-second ratio IS the per-world-round speedup (construction
+// cost included in both, amortized over the same round count).
 constexpr Round kTwinRounds = 128;
 
 // Production single-hop shape: loss-free clique consensus.  Broadcasts
@@ -219,15 +216,11 @@ EngineWorld mis_grid_world(std::size_t n, std::uint64_t seed) {
 template <EngineWorld (*MakeWorld)(std::size_t, std::uint64_t)>
 void scalar_twin(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
-  options.stop_when_all_decided = false;
   std::uint64_t seed = 7;
   for (auto _ : state) {
-    RoundEngine engine(MakeWorld(n, seed++), options);
+    LaneEngine engine(MakeWorld(n, seed++), kQuiet);
     for (Round r = 0; r < kTwinRounds; ++r) engine.step();
-    benchmark::DoNotOptimize(engine.counters());
+    benchmark::DoNotOptimize(engine.counters(0));
   }
   state.SetItemsProcessed(state.iterations() * kTwinRounds * n);
 }
@@ -235,8 +228,6 @@ void scalar_twin(benchmark::State& state) {
 template <EngineWorld (*MakeWorld)(std::size_t, std::uint64_t)>
 void lane_twin(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  LaneOptions options;
-  options.stop_when_all_decided = false;
   std::uint64_t seed = 7;
   for (auto _ : state) {
     std::vector<EngineWorld> worlds;
@@ -244,7 +235,7 @@ void lane_twin(benchmark::State& state) {
     for (std::size_t l = 0; l < kLaneWidth; ++l) {
       worlds.push_back(MakeWorld(n, seed++));
     }
-    LaneEngine engine(std::move(worlds), options);
+    LaneEngine engine(std::move(worlds), kQuiet);
     for (Round r = 0; r < kTwinRounds; ++r) engine.step();
     benchmark::DoNotOptimize(engine.counters(0));
   }
@@ -334,7 +325,6 @@ void BM_SweepThroughput(benchmark::State& state) {
     obs::SweepPerf perf;
     exp::SweepOptions options;
     options.threads = 1;
-    options.lanes = false;  // scalar baseline; lane twin below
     options.perf = &perf;
     benchmark::DoNotOptimize(exp::run_sweep(*grid, options));
     rounds += perf.counters.rounds;
@@ -345,10 +335,11 @@ void BM_SweepThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepThroughput)->Unit(benchmark::kMillisecond);
 
-// Same real-sweep measurement through the lane path (64 seeds per cell so
-// blocks actually fill); compare against BM_SweepThroughputScalarWide --
-// the identical grid with lanes off -- for the end-to-end sweep speedup
-// including per-run world construction.
+// Same real-sweep measurement with 64 seeds per cell so lane blocks
+// actually fill; compare against BM_SweepThroughputScalarWide -- the
+// identical grid run one seed at a time (width-1 blocks via run_one) --
+// for the end-to-end batching speedup including per-run world
+// construction.
 void BM_SweepThroughputLanes(benchmark::State& state) {
   auto grid = exp::SweepGrid::named("smoke");
   if (!grid) {
@@ -362,7 +353,6 @@ void BM_SweepThroughputLanes(benchmark::State& state) {
     obs::SweepPerf perf;
     exp::SweepOptions options;
     options.threads = 1;
-    options.lanes = true;
     options.perf = &perf;
     benchmark::DoNotOptimize(exp::run_sweep(*grid, options));
     rounds += perf.counters.rounds;
@@ -383,14 +373,12 @@ void BM_SweepThroughputScalarWide(benchmark::State& state) {
   std::uint64_t rounds = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
-    obs::SweepPerf perf;
-    exp::SweepOptions options;
-    options.threads = 1;
-    options.lanes = false;
-    options.perf = &perf;
-    benchmark::DoNotOptimize(exp::run_sweep(*grid, options));
-    rounds += perf.counters.rounds;
-    runs += perf.runs;
+    for (std::size_t j = 0; j < grid->num_runs(); ++j) {
+      const exp::RunRecord record = exp::run_one(*grid, j);
+      rounds += record.perf.engine.rounds;
+      benchmark::DoNotOptimize(record);
+    }
+    runs += grid->num_runs();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
   state.counters["runs"] = static_cast<double>(runs);

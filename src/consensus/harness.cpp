@@ -57,29 +57,32 @@ World make_world(const ConsensusAlgorithm& algorithm,
   return world;
 }
 
-RunSummary run_consensus(World world, Round max_rounds,
-                         ExecutorOptions options, ExecutionLog* log_out,
-                         obs::EngineCounters* counters_out) {
+RunSummary summarize_lane(const LaneEngine& engine, std::size_t lane) {
   RunSummary summary;
-  // Degenerate worlds (n = 0, missing components, everyone crashed in the
-  // opening round) are legal inputs: the Executor substitutes neutral
-  // components and exits empty worlds immediately, and the checker treats
-  // a world with no correct process as vacuously terminated.  CST is read
-  // AFTER construction so it reflects the substituted components (NoLoss
-  // has r_cf = 1; a null loss slot would otherwise read as "never").
-  Executor executor(std::move(world), options);
-  summary.cst = executor.world().cst();
-  summary.result = executor.run(max_rounds);
+  summary.result = engine.result(lane);
+  summary.cst = engine.world(lane).cst();
   summary.verdict =
-      check_consensus(executor.log(), executor.world().initial_values);
+      check_consensus(engine.log(lane), engine.world(lane).initial_values);
   if (summary.cst != kNeverRound &&
       summary.verdict.last_decision_round > summary.cst) {
     summary.rounds_after_cst = summary.verdict.last_decision_round -
                                summary.cst;
   }
-  if (log_out) *log_out = executor.log();
-  if (counters_out) counters_out->add(executor.engine().counters());
   return summary;
+}
+
+RunSummary run_consensus(World world, Round max_rounds,
+                         ExecutorOptions options, ExecutionLog* log_out,
+                         obs::EngineCounters* counters_out) {
+  // Degenerate worlds (n = 0, missing components, everyone crashed in the
+  // opening round) are legal inputs: the engine substitutes neutral
+  // components and retires empty worlds immediately, and the checker
+  // treats a world with no correct process as vacuously terminated.
+  Executor executor(std::move(world), options);
+  executor.run(max_rounds);
+  if (log_out) *log_out = executor.log();
+  if (counters_out) counters_out->add(executor.engine().counters(0));
+  return summarize_lane(executor.engine(), 0);
 }
 
 }  // namespace ccd

@@ -49,6 +49,12 @@ struct RunSummary {
   Round rounds_after_cst = 0;
 };
 
+/// The consensus epilogue of one lane of an engine whose run() returned:
+/// its RunResult, the checker's verdict over its log, its world's CST
+/// (after the engine substituted neutral components: NoLoss has r_cf = 1,
+/// a null loss slot would read as "never") and the rounds past it.
+RunSummary summarize_lane(const LaneEngine& engine, std::size_t lane);
+
 /// Run to completion (or max_rounds) and verify.  `log_out`, when non-null,
 /// receives a copy of the full ExecutionLog (the --rerun-cell trace-capture
 /// path); sweeps leave it null.  `counters_out`, when non-null, receives

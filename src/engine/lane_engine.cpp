@@ -9,11 +9,23 @@
 
 namespace ccd {
 
-LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
+namespace {
+
+std::vector<EngineWorld> one_world(EngineWorld world) {
+  std::vector<EngineWorld> worlds;
+  worlds.push_back(std::move(world));
+  return worlds;
+}
+
+}  // namespace
+
+LaneEngine::LaneEngine(EngineWorld world, EngineOptions options)
+    : LaneEngine(one_world(std::move(world)), options) {}
+
+LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     : lanes_(worlds.size()), options_(options), worlds_(std::move(worlds)) {
   assert(lanes_ >= 1 && lanes_ <= kLaneWidth);
   n_ = worlds_[0].world.processes.size();
-  assert(n_ >= 1);  // n = 0 never enters the lane path (scalar tail)
   words_ = mask_words(n_);
   for ([[maybe_unused]] const EngineWorld& ew : worlds_) {
     assert(ew.world.processes.size() == n_);
@@ -61,12 +73,15 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
   results_.resize(lanes_);
   logs_.reserve(lanes_);
   link_rng_.reserve(lanes_);
-  broadcasting_neighbors_.reserve(worlds_[0].topology.max_degree());
+  broadcasting_neighbors_.reserve(n_ > 0 ? worlds_[0].topology.max_degree()
+                                          : 0);
 
   for (std::size_t l = 0; l < lanes_; ++l) {
     World& w = worlds_[l].world;
-    // Same neutral-element substitution as the scalar engine: a caller-
-    // assembled world may omit components.
+    // Degenerate-world robustness: a caller-assembled World may omit
+    // components.  Substitute the neutral element for each rather than
+    // dereferencing null mid-round: NoCM (everyone active), the NoCD
+    // detector (no information), a perfect channel, no failures.
     if (!w.cm) w.cm = std::make_unique<NoCm>();
     if (!w.cd) {
       w.cd = std::make_unique<OracleDetector>(DetectorSpec::NoCD(),
@@ -76,7 +91,7 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, LaneOptions options)
     if (!w.fault) w.fault = std::make_unique<NoFailures>();
 
     link_rng_.emplace_back(worlds_[l].link_seed);
-    logs_.emplace_back(n_, /*record_views=*/false);
+    logs_.emplace_back(n_, options_.record_views && options_.record_rounds);
     for (std::size_t i = 0; i < w.initial_values.size(); ++i) {
       logs_[l].set_initial_value(static_cast<ProcessId>(i),
                                  w.initial_values[i]);
@@ -117,6 +132,9 @@ void LaneEngine::commit_crashes(std::size_t l, Round r) {
       alive.unset(i);
       part.unset(i);
       alive_lw_[i] &= ~lane_bit;
+      // kLocal: a dead radio's detector advice reads null from now on
+      // (D_r only advises the living).
+      if (local()) cd_advice_[l][i] = CdAdvice::kNull;
       --num_alive_[l];
       ++crashes_applied_[l];
       logs_[l].record_crash(static_cast<ProcessId>(i), r);
@@ -134,9 +152,8 @@ void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
   if (all) {
     // Loss-free clique: every participating receiver observes the SAME
     // multiset -- every broadcast, self-delivery included -- so build and
-    // sort it once and let C_r hand each receiver the shared view.  The
-    // scalar engine assembles and sorts this per receiver; the bytes it
-    // produces are identical.
+    // sort it once and let C_r hand each receiver the shared view (the
+    // same bytes a per-receiver assembly would sort into).
     shared_recv_.clear();
     for (std::size_t sw = 0; sw < words_; ++sw) {
       for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
@@ -226,8 +243,8 @@ void LaneEngine::deliver_capture(std::size_t l) {
   std::fill(rc.begin(), rc.end(), 0);
   std::fill(lc.begin(), lc.end(), 0);
 
-  // Receivers ascending, dead skipped WITHOUT consuming randomness -- the
-  // per-lane RNG stream must advance exactly as the scalar engine's.
+  // Receivers ascending, dead skipped WITHOUT consuming randomness: the
+  // per-lane link RNG stream is part of the lane contract.
   alive_[l].for_each([&](std::size_t i) {
     std::vector<Message>& in = recv_[l][i];
     in.clear();
@@ -264,7 +281,7 @@ void LaneEngine::deliver_capture(std::size_t l) {
 
 void LaneEngine::lane_round(std::size_t l, Round r) {
   World& w = worlds_[l].world;
-  const bool local = worlds_[0].scope == CollisionScope::kLocal;
+  const bool local = this->local();
   obs::EngineCounters& ctr = counters_[l];
   ++ctr.rounds;
 
@@ -378,9 +395,35 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   }
   if (!local && faults) commit_crashes(l, r);
   ctr.crashes_after_send += crashes_applied_[l] - pre_b;
+  if (options_.record_rounds) record_round(l);
+}
+
+void LaneEngine::record_round(std::size_t l) {
+  TransmissionRound tr;
+  tr.broadcaster_count = broadcaster_count_[l];
+  tr.receive_count = recv_count_[l];
+  std::vector<RoundView> views;
+  if (logs_[l].views_recorded()) {
+    views.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      RoundView& v = views[i];
+      if (sent_[l][i]) v.sent = sent_msg_[l][i];
+      // A receiver's multiset was rebuilt this round iff its count is
+      // nonzero; every other receiver observed the empty multiset.
+      if (recv_count_[l][i] > 0) {
+        v.received = recv_shared_ ? shared_recv_ : recv_[l][i];
+      }
+      v.cd = cd_advice_[l][i];
+      v.cm = cm_advice_[l][i];
+      v.crashed = !alive_[l][i];
+    }
+  }
+  logs_[l].push_round(std::move(tr), cd_advice_[l], cm_advice_[l],
+                      std::move(views));
 }
 
 void LaneEngine::step() {
+  if (!active_) return;  // every lane retired: the clock stops too
   const Round r = ++round_;
   for_each_bit(active_, 0, [&](std::size_t l) { lane_round(l, r); });
 }
@@ -401,6 +444,13 @@ void LaneEngine::retire(std::size_t l) {
 }
 
 void LaneEngine::run(Round max_rounds) {
+  // n = 0: no process can ever send, decide or crash; every consensus
+  // property holds vacuously.  Retire instead of spinning max_rounds empty
+  // rounds (which stop_when_all_decided = false would do).
+  if (n_ == 0) {
+    for_each_bit(active_, 0, [&](std::size_t l) { retire(l); });
+    return;
+  }
   while (active_) {
     if (options_.stop_when_all_decided) {
       // Which lanes still hold an undecided correct process: one AND-NOT

@@ -1,35 +1,34 @@
-// LaneExecutor: WorldFactory::run_scenario for a BLOCK of specs that differ
-// only in seed, executed through the batched LaneEngine (up to kLaneWidth
-// seeds in lockstep) instead of one RoundEngine per run.
+// LaneExecutor: the run path of every round-structured workload.  A block
+// of 1..kLaneWidth specs that differ only in seed executes through one
+// LaneEngine, the seeds in lockstep; WorldFactory::run_scenario(spec) is
+// the width-1 block {spec}.
 //
-// The contract mirrors the scalar path exactly: run_block(specs)[k] is
-// byte-for-byte the ScenarioOutcome that run_scenario(specs[k]) produces --
-// same component construction (same factories, same hash_mix(seed ^ salt)
-// streams), same per-workload measurement loops (flood coverage / MIS
-// settlement judged per round over survivors, quiesce gating, phase-2
-// consensus among surviving heads), same counters.  SweepRunner relies on
-// this to keep reports, perf-sidecar counter totals, and golden hashes
-// identical with lanes on or off.
+// Per workload, one path each:
 //
-// Routing (the scalar tail):
+//   consensus            kMatrix x kGlobal on the single-hop clique,
+//                        kMatrix x kLocal over any other graph; verdicts
+//                        through the one consensus epilogue
+//                        (consensus::summarize_lane)
+//   flood, mis           kCapture x kLocal budget loops: flood coverage /
+//                        MIS settlement judged per round over survivors,
+//                        gated on the fault adversary's quiesce round
+//   mis-then-consensus   the MIS block, then phase-2 consensus among each
+//                        lane's surviving heads as its own width-1
+//                        consensus block (the head count k -- and with it
+//                        n -- is seed-dependent)
 //
-//   laned            consensus/singlehop (kMatrix x kGlobal), consensus on
-//                    line/ring/grid (kMatrix x kLocal), flood and mis
-//                    (kCapture x kLocal), and the MIS phase of
-//                    mis-then-consensus (its phase-2 consensus runs per
-//                    lane through the scalar harness: the head count k --
-//                    and with it n -- is seed-dependent)
+// run_block(specs)[k] depends only on specs[k]: each lane builds its own
+// components from the same factories and hash_mix(seed ^ salt) streams, so
+// a spec's outcome is the same in a 64-wide block as alone.  SweepRunner
+// relies on this to keep reports, perf-sidecar counter totals, and golden
+// hashes identical however runs are blocked.
 //
-//   scalar fallback  random-geometric topologies (the graph itself is
-//                    seed-dependent, so lanes would not share adjacency),
-//                    round-sync (below the round abstraction), n = 0, and
-//                    any run capturing logs or views (trace capture wants
-//                    the engine's round recording)
-//
-// eligible() is the routing predicate; callers (SweepRunner) form blocks
-// only from eligible specs within one grid cell, so every spec in a block
-// shares all axes but the seed.  The S mod 64 remainder of a cell simply
-// arrives as a smaller block.
+// Width 1 only (eligible() is false): random-geometric topologies (the
+// graph itself is seed-dependent, so lanes would not share adjacency),
+// n = 0, and trace capture.  Round-sync sits below the round abstraction
+// and never reaches a block.  Callers (SweepRunner) form wider blocks only
+// from eligible specs within one grid cell; the S mod 64 remainder of a
+// cell simply arrives as a smaller block.
 #pragma once
 
 #include <vector>
@@ -41,13 +40,14 @@ namespace ccd::exp {
 
 class LaneExecutor {
  public:
-  /// Can this spec run through the lane path under these options?
+  /// May this spec share a block with other seeds of its cell under these
+  /// options?  (Every round-structured spec runs as a width-1 block.)
   static bool eligible(const ScenarioSpec& spec,
                        const RunScenarioOptions& options = {});
 
-  /// Execute a block of 1..kLaneWidth specs (all eligible, identical up to
-  /// seed) in lockstep; outcome k corresponds to specs[k] and equals
-  /// WorldFactory::run_scenario(specs[k], options).
+  /// Execute a block of 1..kLaneWidth specs (identical up to seed, and all
+  /// eligible when more than one; never round-sync) in lockstep; outcome k
+  /// corresponds to specs[k].
   static std::vector<ScenarioOutcome> run_block(
       const std::vector<ScenarioSpec>& specs,
       const RunScenarioOptions& options = {});

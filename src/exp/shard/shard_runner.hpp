@@ -19,7 +19,7 @@
 namespace ccd::exp {
 
 struct ShardRunOptions {
-  SweepOptions sweep;           ///< threads / record_views / progress
+  SweepOptions sweep;           ///< threads / progress / on_record
   std::string checkpoint_path;  ///< empty = no checkpointing
   bool resume = false;          ///< load completed cells from the file first
 };

@@ -10,39 +10,46 @@
 
 namespace ccd::exp {
 
-RunRecord run_one(const SweepGrid& grid, std::size_t run_index,
-                  bool record_views) {
-  RunRecord record;
-  record.run_index = run_index;
-  record.cell_index = grid.cell_of_run(run_index);
-  record.spec = grid.spec_for_run(run_index);
-  RunScenarioOptions options;
-  options.record_views = record_views;
-  obs::RunTimer timer;
-  ScenarioOutcome outcome =
-      WorldFactory::run_scenario(record.spec, options);
-  record.perf.wall_ns = timer.elapsed_ns();
-  record.perf.engine = outcome.counters;
-  record.summary = std::move(outcome.summary);
-  record.mh = std::move(outcome.mh);
-  record.sync = outcome.sync;
-  return record;
-}
-
 namespace {
+
+/// Execute records[0..count) -- run_index / cell_index / spec already set
+/// -- as one block: a lone run through WorldFactory::run_scenario
+/// (round-sync included), a wider block through the LaneExecutor in
+/// lockstep.  Per-run wall time is observational only (sidecar
+/// percentiles); the honest per-run figure for a lockstep block is its
+/// amortized cost.
+void execute_block(RunRecord* records, std::size_t count) {
+  obs::RunTimer timer;
+  std::vector<ScenarioOutcome> outcomes;
+  if (count == 1) {
+    outcomes.push_back(WorldFactory::run_scenario(records[0].spec));
+  } else {
+    std::vector<ScenarioSpec> specs(count);
+    for (std::size_t k = 0; k < count; ++k) specs[k] = records[k].spec;
+    outcomes = LaneExecutor::run_block(specs);
+  }
+  const std::uint64_t wall_each = timer.elapsed_ns() / count;
+  for (std::size_t k = 0; k < count; ++k) {
+    RunRecord& rec = records[k];
+    rec.summary = std::move(outcomes[k].summary);
+    rec.mh = std::move(outcomes[k].mh);
+    rec.sync = outcomes[k].sync;
+    rec.perf.engine = outcomes[k].counters;
+    rec.perf.wall_ns = wall_each;
+  }
+}
 
 /// Shared pool core: workers claim BLOCKS of slots and execute run
 /// index_of(j) for each slot j in the block.  Results land in the slot
 /// owned by j, so the returned vector's order is the caller's index order
 /// regardless of scheduling.
 ///
-/// With options.lanes, a block is a maximal run of consecutive slots whose
-/// GLOBAL run indices are consecutive within one lane-eligible cell (up to
-/// kLaneWidth of them) -- those execute in lockstep through the
-/// LaneExecutor.  Everything else (ineligible specs, strided shard index
-/// sets, the S mod 64 cell remainder when it lands alone) is a 1-run block
-/// on the scalar run_one path.  The partition only affects scheduling
-/// granularity; record CONTENT is byte-identical either way.
+/// A block is a maximal run of consecutive slots whose GLOBAL run indices
+/// are consecutive within one lane-eligible cell (up to kLaneWidth of
+/// them).  Everything else (ineligible specs, strided shard index sets, the
+/// S mod 64 cell remainder when it lands alone) is a 1-run block.  The
+/// partition only affects scheduling granularity; record CONTENT is
+/// byte-identical either way.
 template <typename IndexOf>
 std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
                                 const SweepOptions& options,
@@ -53,20 +60,16 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
     return records;
   }
 
-  RunScenarioOptions scenario_options;
-  scenario_options.record_views = options.record_views;
-
   struct Block {
     std::size_t first = 0;
     std::size_t count = 1;
   };
   std::vector<Block> blocks;
-  blocks.reserve(options.lanes ? total / kLaneWidth + 1 : total);
+  blocks.reserve(total / kLaneWidth + 1);
   for (std::size_t j = 0; j < total;) {
     const std::size_t idx = index_of(j);
     std::size_t count = 1;
-    if (options.lanes &&
-        LaneExecutor::eligible(grid.spec_for_run(idx), scenario_options)) {
+    if (LaneExecutor::eligible(grid.spec_for_run(idx))) {
       const std::size_t cell = grid.cell_of_run(idx);
       while (count < kLaneWidth && j + count < total &&
              index_of(j + count) == idx + count &&
@@ -103,34 +106,13 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
       const Block& blk = blocks[b];
       const std::uint64_t start_ns =
           options.perf ? epoch.elapsed_ns() : 0;
-      if (blk.count == 1) {
-        records[blk.first] =
-            run_one(grid, index_of(blk.first), options.record_views);
-      } else {
-        std::vector<ScenarioSpec> specs(blk.count);
-        for (std::size_t k = 0; k < blk.count; ++k) {
-          RunRecord& rec = records[blk.first + k];
-          rec.run_index = index_of(blk.first + k);
-          rec.cell_index = grid.cell_of_run(rec.run_index);
-          rec.spec = grid.spec_for_run(rec.run_index);
-          specs[k] = rec.spec;
-        }
-        obs::RunTimer timer;
-        std::vector<ScenarioOutcome> outcomes =
-            LaneExecutor::run_block(specs, scenario_options);
-        // Per-run wall time is observational only (sidecar percentiles);
-        // the honest per-run figure for a lockstep block is the amortized
-        // cost.
-        const std::uint64_t wall_each = timer.elapsed_ns() / blk.count;
-        for (std::size_t k = 0; k < blk.count; ++k) {
-          RunRecord& rec = records[blk.first + k];
-          rec.summary = std::move(outcomes[k].summary);
-          rec.mh = std::move(outcomes[k].mh);
-          rec.sync = outcomes[k].sync;
-          rec.perf.engine = outcomes[k].counters;
-          rec.perf.wall_ns = wall_each;
-        }
+      for (std::size_t k = 0; k < blk.count; ++k) {
+        RunRecord& rec = records[blk.first + k];
+        rec.run_index = index_of(blk.first + k);
+        rec.cell_index = grid.cell_of_run(rec.run_index);
+        rec.spec = grid.spec_for_run(rec.run_index);
       }
+      execute_block(&records[blk.first], blk.count);
       const std::uint64_t end_ns = options.perf ? epoch.elapsed_ns() : 0;
       for (std::size_t k = 0; k < blk.count; ++k) {
         RunRecord& rec = records[blk.first + k];
@@ -181,6 +163,15 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
 }
 
 }  // namespace
+
+RunRecord run_one(const SweepGrid& grid, std::size_t run_index) {
+  RunRecord record;
+  record.run_index = run_index;
+  record.cell_index = grid.cell_of_run(run_index);
+  record.spec = grid.spec_for_run(run_index);
+  execute_block(&record, 1);
+  return record;
+}
 
 std::vector<RunRecord> run_sweep(const SweepGrid& grid,
                                  const SweepOptions& options) {

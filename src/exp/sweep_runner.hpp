@@ -2,12 +2,13 @@
 // threads.
 //
 // Scheduling is a shared atomic work counter (each worker claims the next
-// unclaimed run index), which is work-stealing in effect: fast runs drain
-// more indices, a slow cell never stalls the pool.  Determinism does not
-// depend on scheduling at all -- each run's World derives every RNG stream
-// from hash(grid_seed, run_index), and results land in a pre-sized vector
-// slot owned by the run index -- so the full result vector is bit-identical
-// at any thread count.
+// unclaimed block of runs -- up to 64 seeds of one cell, executed in
+// lockstep by the LaneExecutor), which is work-stealing in effect: fast
+// blocks drain more indices, a slow cell never stalls the pool.
+// Determinism does not depend on scheduling at all -- each run's World
+// derives every RNG stream from hash(grid_seed, run_index), and results
+// land in a pre-sized vector slot owned by the run index -- so the full
+// result vector is bit-identical at any thread count.
 #pragma once
 
 #include <atomic>
@@ -51,19 +52,6 @@ struct RunRecord {
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   unsigned threads = 1;
-  /// Skip per-round view recording (the checker only needs decisions and
-  /// crashes); large sweeps run several times faster without views.
-  bool record_views = false;
-  /// Batch eligible runs through the 64-wide LaneEngine: workers claim
-  /// BLOCKS of consecutive run indices within one cell (up to 64 seeds in
-  /// lockstep) instead of single runs.  Records are byte-identical either
-  /// way -- LaneExecutor::run_block reproduces run_one's outcome exactly
-  /// per lane -- so this is purely a throughput switch (`--no-lanes` in
-  /// ccd_sweep is the escape hatch).  Ineligible specs (random-geometric
-  /// topologies, round-sync, n = 0, view recording) and non-consecutive
-  /// index sets (strided shards) degrade to 1-run blocks on the scalar
-  /// path.
-  bool lanes = true;
   /// Invoked after each completed run with the number finished so far.
   /// Called from worker threads; must be thread-safe.  May be empty.
   std::function<void(std::size_t done, std::size_t total)> progress;
@@ -90,8 +78,7 @@ std::vector<RunRecord> run_subset(const SweepGrid& grid,
                                   const std::vector<std::size_t>& run_indices,
                                   const SweepOptions& options = {});
 
-/// Execute a single run of the grid (what each worker does per index).
-RunRecord run_one(const SweepGrid& grid, std::size_t run_index,
-                  bool record_views = false);
+/// Execute a single run of the grid on its own (a width-1 block).
+RunRecord run_one(const SweepGrid& grid, std::size_t run_index);
 
 }  // namespace ccd::exp

@@ -2,7 +2,7 @@
 // report back to fully instrumented executions (the ROADMAP item ccd_sweep
 // --rerun-cell exposes).
 //
-// Sweeps run with record_views = false and no round recording for speed;
+// Sweeps record only decisions and crashes, for speed;
 // when a report cell looks interesting (an agreement failure, a coverage
 // stall, a surprising crash count), rerun_cell() re-executes every run of
 // that cell single-threaded with full ExecutionLogs.  Determinism makes
@@ -36,9 +36,9 @@ struct TracedRun {
   std::optional<ExecutionLog> phase2_log;
 };
 
-/// Re-execute every run of one cell with record_views = true and full
-/// round recording.  Single-threaded by construction (the runs of one
-/// cell are a handful; determinism does not depend on scheduling anyway).
+/// Re-execute every run of one cell with full round and view recording.
+/// Single-threaded by construction (the runs of one cell are a handful;
+/// determinism does not depend on scheduling anyway).
 std::vector<TracedRun> rerun_cell(const SweepGrid& grid,
                                   std::size_t cell_index);
 

@@ -1,28 +1,29 @@
-// Lane/scalar differential property test: the batched LaneEngine's
-// acceptance gate.  A seeded random-ScenarioSpec generator draws specs
-// across every axis the engine executes (topology x workload x channel x
-// scope x fault x CM/CD x loss x policy x chaos), builds a single-cell
-// sweep around each, and runs it with lanes ON and lanes OFF.  The two
-// result sets must be indistinguishable:
+// Engine differential property test: the LaneEngine's acceptance gate.
+// A seeded random-ScenarioSpec generator draws specs across every axis the
+// engine executes (topology x workload x channel x scope x fault x CM/CD x
+// loss x policy x chaos), builds a single-cell sweep around each, and runs
+// it on both run paths -- 64-wide lane blocks (run_sweep) and width-1
+// blocks (run_one per index).  Each must reproduce, exactly, the digest the
+// retired per-run RoundEngine produced for the same sweep
+// (fixtures/differential_corpus.inc, see sweep_digest.hpp):
 //
-//   * the JSON and CSV reports are byte-identical, and
+//   * the JSON, CSV and dist reports are byte-identical, and
 //   * every run's EngineCounters are exactly equal
 //
-// -- i.e. the lane path is not "statistically equivalent", it is the SAME
-// execution.  Any divergence in RNG stream discipline, component call
-// order, crash-point semantics, delivery multiset order, termination
-// accounting or counter increment sites shows up here as a spec JSON the
-// failure message prints verbatim for replay.
+// -- i.e. the engine is not "statistically equivalent" to the reference,
+// it is the SAME execution.  Any divergence in RNG stream discipline,
+// component call order, crash-point semantics, delivery multiset order,
+// termination accounting or counter increment sites shows up here as a
+// spec JSON the failure message prints verbatim for replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <iterator>
 
-#include "exp/aggregator.hpp"
 #include "exp/lane_executor.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
+#include "sweep_digest.hpp"
 #include "util/rng.hpp"
 
 namespace ccd::exp {
@@ -98,30 +99,33 @@ ScenarioSpec random_spec(Rng& rng) {
   return spec;
 }
 
-struct SweepResult {
-  std::string json;
-  std::string csv;
-  std::vector<obs::EngineCounters> counters;
+using digest::SweepDigest;
+
+constexpr SweepDigest kCorpus[] = {
+#include "fixtures/differential_corpus.inc"
 };
 
-SweepResult run(const SweepGrid& grid, bool lanes, unsigned threads) {
+struct NamedDigest {
+  const char* grid;
+  SweepDigest digest;
+};
+constexpr NamedDigest kNamedGrids[] = {
+#include "fixtures/named_grids.inc"
+};
+
+SweepDigest run_wide(const SweepGrid& grid, unsigned threads) {
   SweepOptions options;
   options.threads = threads;
-  options.lanes = lanes;
-  const std::vector<RunRecord> records = run_sweep(grid, options);
-  SweepResult result;
-  const auto cells = aggregate(grid, records);
-  result.json = aggregates_to_json(grid, cells);
-  result.csv = aggregates_to_csv(cells);
-  result.counters.reserve(records.size());
-  for (const RunRecord& record : records) {
-    result.counters.push_back(record.perf.engine);
-  }
-  return result;
+  return digest::digest_of(grid, run_sweep(grid, options));
 }
 
-TEST(LaneDifferential, RandomSpecsLaneVsScalarByteIdentical) {
+SweepDigest run_width1(const SweepGrid& grid) {
+  return digest::digest_of(grid, digest::run_width1(grid));
+}
+
+TEST(LaneDifferential, RandomSpecsMatchTheFrozenReference) {
   constexpr int kSpecs = 220;
+  static_assert(std::size(kCorpus) == kSpecs);
   Rng rng(0x1a9e5u);
   for (int i = 0; i < kSpecs; ++i) {
     SweepGrid grid;
@@ -134,48 +138,34 @@ TEST(LaneDifferential, RandomSpecsLaneVsScalarByteIdentical) {
     ASSERT_FALSE(grid.validate().has_value())
         << *grid.validate() << "\nspec: " << grid.base.to_json();
     // Alternate single- and multi-threaded pools: lane blocks must be
-    // byte-stable under work stealing exactly like scalar runs.
+    // byte-stable under work stealing.
     const unsigned threads = (i % 3 == 0) ? 3 : 1;
-    const SweepResult lane = run(grid, /*lanes=*/true, threads);
-    const SweepResult scalar = run(grid, /*lanes=*/false, threads);
-    ASSERT_EQ(lane.json, scalar.json)
-        << "lane/scalar JSON diverged for spec " << i << ":\n"
-        << grid.base.to_json() << "\nseeds_per_cell=" << seeds
+    const SweepDigest& want = kCorpus[i];
+    ASSERT_EQ(run_wide(grid, threads), want)
+        << "64-wide path diverged from the reference for spec " << i
+        << ":\n" << grid.base.to_json() << "\nseeds_per_cell=" << seeds
+        << " grid_seed=" << grid.grid_seed
+        << "\nwant " << digest::to_string(want);
+    ASSERT_EQ(run_width1(grid), want)
+        << "width-1 path diverged from the reference for spec " << i
+        << ":\n" << grid.base.to_json() << "\nseeds_per_cell=" << seeds
         << " grid_seed=" << grid.grid_seed;
-    ASSERT_EQ(lane.csv, scalar.csv)
-        << "lane/scalar CSV diverged for spec " << i << ":\n"
-        << grid.base.to_json();
-    ASSERT_EQ(lane.counters.size(), scalar.counters.size());
-    for (std::size_t r = 0; r < lane.counters.size(); ++r) {
-      ASSERT_EQ(lane.counters[r], scalar.counters[r])
-          << "EngineCounters diverged at run " << r << " for spec " << i
-          << ":\n"
-          << grid.base.to_json() << "\nseeds_per_cell=" << seeds
-          << " grid_seed=" << grid.grid_seed;
-    }
   }
 }
 
-TEST(LaneDifferential, NamedGridsLaneVsScalarByteIdentical) {
+TEST(LaneDifferential, NamedGridsMatchTheFrozenReference) {
   // The shipped grids end to end -- including the 432-cell multihop grid
-  // and the loss-on-topology composition -- through real multi-threaded
-  // pools on both paths.
-  for (const char* name : {"smoke", "crash", "multihop", "mhloss"}) {
-    auto grid = SweepGrid::named(name);
-    ASSERT_TRUE(grid.has_value()) << name;
-    const SweepResult lane = run(*grid, /*lanes=*/true, 4);
-    const SweepResult scalar = run(*grid, /*lanes=*/false, 4);
-    EXPECT_EQ(lane.json, scalar.json) << name << " JSON diverged";
-    EXPECT_EQ(lane.csv, scalar.csv) << name << " CSV diverged";
-    ASSERT_EQ(lane.counters.size(), scalar.counters.size());
-    for (std::size_t r = 0; r < lane.counters.size(); ++r) {
-      ASSERT_EQ(lane.counters[r], scalar.counters[r])
-          << name << " counters diverged at run " << r;
-    }
+  // and the loss-on-topology composition -- through a real multi-threaded
+  // pool and through width-1 blocks.
+  for (const NamedDigest& named : kNamedGrids) {
+    auto grid = SweepGrid::named(named.grid);
+    ASSERT_TRUE(grid.has_value()) << named.grid;
+    EXPECT_EQ(run_wide(*grid, 4), named.digest) << named.grid << " 64-wide";
+    EXPECT_EQ(run_width1(*grid), named.digest) << named.grid << " width-1";
   }
 }
 
-TEST(LaneDifferential, EligibilityRoutesTheScalarOnlyShapes) {
+TEST(LaneDifferential, EligibilityKeepsDivergentShapesAtWidthOne) {
   RunScenarioOptions plain;
   ScenarioSpec spec;  // defaults: consensus / singlehop / n=8
   EXPECT_TRUE(LaneExecutor::eligible(spec, plain));
@@ -196,9 +186,6 @@ TEST(LaneDifferential, EligibilityRoutesTheScalarOnlyShapes) {
   RunScenarioOptions capture;
   capture.capture_log = true;
   EXPECT_FALSE(LaneExecutor::eligible(spec, capture));
-  RunScenarioOptions views;
-  views.record_views = true;
-  EXPECT_FALSE(LaneExecutor::eligible(spec, views));
 }
 
 }  // namespace

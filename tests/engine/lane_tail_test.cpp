@@ -1,56 +1,55 @@
-// Tail and degenerate-shape coverage for the lane path: cell sizes that
+// Tail and degenerate-shape coverage for the run paths: cell sizes that
 // land exactly on, just under, and just over the 64-lane block width; the
-// n = 0 scalar fallback; schedules that crash EVERY process; and cells
-// where a single survivor must still decide.  Each case runs the sweep
-// with lanes on and off and demands byte-identical reports plus exactly
-// equal per-run EngineCounters -- the same contract as the differential
-// test, aimed at the boundaries where block partitioning and lane
-// retirement logic could plausibly diverge.
+// n = 0 world; schedules that crash EVERY process; and cells where a
+// single survivor must still decide.  Each case runs the sweep on the
+// 64-wide path and on width-1 blocks and demands the frozen reference
+// digest (fixtures/tail.inc): byte-identical reports plus exactly equal
+// per-run EngineCounters -- the same contract as the differential test,
+// aimed at the boundaries where block partitioning and lane retirement
+// logic could plausibly diverge.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "engine/lane_engine.hpp"
-#include "exp/aggregator.hpp"
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
+#include "sweep_digest.hpp"
 
 namespace ccd::exp {
 namespace {
 
-struct SweepResult {
-  std::string json;
-  std::string csv;
-  std::vector<obs::EngineCounters> counters;
+using digest::SweepDigest;
+
+struct CaseDigest {
+  const char* what;
+  SweepDigest digest;
+};
+constexpr CaseDigest kReference[] = {
+#include "fixtures/tail.inc"
 };
 
-SweepResult run(const SweepGrid& grid, bool lanes, unsigned threads) {
+struct StridedReference {
+  std::uint64_t counters;
+  std::uint64_t agreement;
+};
+constexpr StridedReference kStrided =
+#include "fixtures/strided_subset.inc"
+    ;
+
+void expect_reference(const SweepGrid& grid, unsigned threads,
+                      const std::string& what) {
+  const CaseDigest* ref = nullptr;
+  for (const CaseDigest& c : kReference) {
+    if (what == c.what) ref = &c;
+  }
+  ASSERT_NE(ref, nullptr) << "no reference digest for " << what;
   SweepOptions options;
   options.threads = threads;
-  options.lanes = lanes;
-  const std::vector<RunRecord> records = run_sweep(grid, options);
-  SweepResult result;
-  const auto cells = aggregate(grid, records);
-  result.json = aggregates_to_json(grid, cells);
-  result.csv = aggregates_to_csv(cells);
-  for (const RunRecord& record : records) {
-    result.counters.push_back(record.perf.engine);
-  }
-  return result;
-}
-
-void expect_identical(const SweepGrid& grid, unsigned threads,
-                      const char* what) {
-  const SweepResult lane = run(grid, /*lanes=*/true, threads);
-  const SweepResult scalar = run(grid, /*lanes=*/false, threads);
-  EXPECT_EQ(lane.json, scalar.json) << what << ": JSON diverged";
-  EXPECT_EQ(lane.csv, scalar.csv) << what << ": CSV diverged";
-  ASSERT_EQ(lane.counters.size(), scalar.counters.size()) << what;
-  for (std::size_t r = 0; r < lane.counters.size(); ++r) {
-    EXPECT_EQ(lane.counters[r], scalar.counters[r])
-        << what << ": counters diverged at run " << r;
-  }
+  EXPECT_EQ(digest::digest_of(grid, run_sweep(grid, options)), ref->digest)
+      << what << ": 64-wide path diverged";
+  EXPECT_EQ(digest::digest_of(grid, digest::run_width1(grid)), ref->digest)
+      << what << ": width-1 path diverged";
 }
 
 SweepGrid base_grid(std::uint32_t seeds_per_cell) {
@@ -70,8 +69,8 @@ TEST(LaneTail, BlockBoundaryCellSizes) {
   for (std::uint32_t seeds : {1u, 63u, 64u, 65u, 130u}) {
     SweepGrid grid = base_grid(seeds);
     ASSERT_FALSE(grid.validate().has_value());
-    expect_identical(grid, /*threads=*/2,
-                     ("seeds_per_cell=" + std::to_string(seeds)).c_str());
+    expect_reference(grid, /*threads=*/2,
+                     "seeds_per_cell=" + std::to_string(seeds));
   }
 }
 
@@ -82,21 +81,21 @@ TEST(LaneTail, TailStraddlesCellsAndAxes) {
   grid.detectors = {DetectorKind::kAC, DetectorKind::kNoCd};
   grid.topologies = {TopologyKind::kSingleHop, TopologyKind::kRing};
   ASSERT_FALSE(grid.validate().has_value());
-  expect_identical(grid, /*threads=*/3, "two axes x 65 seeds");
+  expect_reference(grid, /*threads=*/3, "two axes x 65 seeds");
 }
 
-TEST(LaneTail, EmptyWorldFallsBackToScalar) {
+TEST(LaneTail, EmptyWorldRunsNoRounds) {
   SweepGrid grid = base_grid(8);
   grid.base.n = 0;
   grid.base.fault = FaultKind::kNone;
   ASSERT_FALSE(grid.validate().has_value());
-  expect_identical(grid, /*threads=*/2, "n=0");
+  expect_reference(grid, /*threads=*/2, "n=0");
 }
 
 TEST(LaneTail, AllProcessesCrash) {
   // Every process is scheduled to die -- a mix of both crash points --
-  // so lanes reach zero survivors and must retire with the scalar
-  // engine's exact counters and (empty) decision set.
+  // so lanes reach zero survivors and must retire with the reference's
+  // exact counters and (empty) decision set.
   SweepGrid grid = base_grid(65);
   grid.base.fault = FaultKind::kScheduled;
   for (ProcessId p = 0; p < grid.base.n; ++p) {
@@ -105,7 +104,7 @@ TEST(LaneTail, AllProcessesCrash) {
          p % 2 == 0 ? CrashPoint::kBeforeSend : CrashPoint::kAfterSend});
   }
   ASSERT_FALSE(grid.validate().has_value());
-  expect_identical(grid, /*threads=*/2, "all-crash schedule");
+  expect_reference(grid, /*threads=*/2, "all-crash schedule");
 }
 
 TEST(LaneTail, SingleSurvivorDecides) {
@@ -118,7 +117,7 @@ TEST(LaneTail, SingleSurvivorDecides) {
         {static_cast<Round>(p), p, CrashPoint::kBeforeSend});
   }
   ASSERT_FALSE(grid.validate().has_value());
-  expect_identical(grid, /*threads=*/2, "single survivor");
+  expect_reference(grid, /*threads=*/2, "single survivor");
 
   // Same shape on a multihop workload: the survivor's flood trivially
   // covers the surviving subgraph.
@@ -126,28 +125,25 @@ TEST(LaneTail, SingleSurvivorDecides) {
   flood.base.workload = WorkloadKind::kFlood;
   flood.base.topology = TopologyKind::kLine;
   ASSERT_FALSE(flood.validate().has_value());
-  expect_identical(flood, /*threads=*/2, "single survivor flood");
+  expect_reference(flood, /*threads=*/2, "single survivor flood");
 }
 
-TEST(LaneTail, StridedSubsetDegradesToScalarBlocks) {
+TEST(LaneTail, StridedSubsetRunsAsWidthOneBlocks) {
   // run_subset with a stride breaks global-index consecutiveness, so the
-  // lane partition must fall back to 1-run blocks -- and still match the
-  // scalar path byte for byte.
+  // pool must fall back to 1-run blocks -- and still match the reference
+  // run for run.
   SweepGrid grid = base_grid(64);
   std::vector<std::size_t> indices;
   for (std::size_t j = 0; j < grid.num_runs(); j += 2) indices.push_back(j);
-  SweepOptions lanes_on;
-  lanes_on.lanes = true;
-  SweepOptions lanes_off;
-  lanes_off.lanes = false;
-  const auto a = run_subset(grid, indices, lanes_on);
-  const auto b = run_subset(grid, indices, lanes_off);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].run_index, b[k].run_index);
-    EXPECT_EQ(a[k].perf.engine, b[k].perf.engine) << "run " << k;
-    EXPECT_EQ(a[k].summary.verdict.agreement, b[k].summary.verdict.agreement);
+  const auto records = run_subset(grid, indices, SweepOptions{});
+  ASSERT_EQ(records.size(), indices.size());
+  std::string agreement;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    EXPECT_EQ(records[k].run_index, indices[k]);
+    agreement += records[k].summary.verdict.agreement ? '1' : '0';
   }
+  EXPECT_EQ(digest::counters_hash(records), kStrided.counters);
+  EXPECT_EQ(digest::fnv1a(agreement), kStrided.agreement);
 }
 
 }  // namespace

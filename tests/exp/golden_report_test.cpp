@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <string>
+#include <vector>
 
 #include "exp/aggregator.hpp"
 #include "exp/sweep_grid.hpp"
@@ -47,22 +48,29 @@ constexpr Golden kGoldens[] = {
 };
 
 TEST(GoldenReports, EngineReproducesPreRefactorReportsByteIdentically) {
-  // Both execution paths -- the 64-wide lane engine (the default) and the
-  // scalar per-run path -- must reproduce the pre-refactor bytes.
-  for (const bool lanes : {true, false}) {
+  // Both run paths -- 64-wide lane blocks (the sweep pool) and width-1
+  // blocks (run_one per index) -- must reproduce the pre-refactor bytes.
+  for (const bool wide : {true, false}) {
     for (const Golden& golden : kGoldens) {
       auto grid = SweepGrid::named(golden.grid);
       ASSERT_TRUE(grid.has_value()) << golden.grid;
-      SweepOptions options;
-      options.threads = 4;  // determinism must not depend on thread count
-      options.lanes = lanes;
-      const auto cells = aggregate(*grid, run_sweep(*grid, options));
+      std::vector<RunRecord> records;
+      if (wide) {
+        SweepOptions options;
+        options.threads = 4;  // determinism must not depend on thread count
+        records = run_sweep(*grid, options);
+      } else {
+        for (std::size_t j = 0; j < grid->num_runs(); ++j) {
+          records.push_back(run_one(*grid, j));
+        }
+      }
+      const auto cells = aggregate(*grid, records);
       EXPECT_EQ(fnv1a(aggregates_to_json(*grid, cells)), golden.json_hash)
           << golden.grid << ".json drifted from the pre-refactor bytes"
-          << " (lanes=" << lanes << ")";
+          << " (wide=" << wide << ")";
       EXPECT_EQ(fnv1a(aggregates_to_csv(cells)), golden.csv_hash)
           << golden.grid << ".csv drifted from the pre-refactor bytes"
-          << " (lanes=" << lanes << ")";
+          << " (wide=" << wide << ")";
     }
   }
 }

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "exp/sweep_runner.hpp"
 
 namespace ccd::exp {
@@ -20,9 +24,9 @@ TEST(TraceCapture, RerunReproducesTheSweepRunsWithFullLogs) {
 
   for (std::uint32_t s = 0; s < grid->seeds_per_cell; ++s) {
     const std::size_t run_index = cell * grid->seeds_per_cell + s;
-    // The sweep's record for the same run index (views off, like a real
-    // sweep)...
-    const RunRecord record = run_one(*grid, run_index, false);
+    // The sweep's record for the same run index (no recording, like a
+    // real sweep)...
+    const RunRecord record = run_one(*grid, run_index);
     const TracedRun& t = traced[s];
     EXPECT_EQ(t.run_index, run_index);
     EXPECT_EQ(t.spec, record.spec);
@@ -73,6 +77,52 @@ TEST(TraceCapture, DumpIsSelfDescribing) {
     pos += 1;
   }
   EXPECT_EQ(runs, grid->seeds_per_cell);
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(TraceCapture, TraceBytesArePinned) {
+  // FNV-1a of the full --rerun-cell dump (every round, view, decision and
+  // crash of every run in the cell), captured from the retired per-run
+  // RoundEngine (ccd at commit 1c47934).  One cell per recording shape:
+  // single-hop consensus (kGlobal), consensus after scheduled and random
+  // crashes, flood over the capture channel with random crashes (kLocal:
+  // dead radios read null advice), mis-then-consensus with a phase-2 log,
+  // and consensus over a lossy ring (kMatrix x kLocal).
+  struct Pin {
+    const char* grid;
+    std::size_t cell;
+    std::uint64_t hash;
+  };
+  constexpr Pin kPins[] = {
+      {"smoke", 0, 0x9966c86bcfe2c26aull},
+      {"crash", 8, 0x4956c59001ed29eaull},
+      {"crash", 4, 0xc6e12c05fd1da4d2ull},
+      {"multihop", 84, 0xa51a38fdb24d7287ull},
+      {"multihop", 327, 0xa1c35c3bd68a2230ull},
+      {"mhloss", 20, 0x028e94649ea7923eull},
+  };
+  for (const Pin& pin : kPins) {
+    auto grid = SweepGrid::named(pin.grid);
+    ASSERT_TRUE(grid.has_value()) << pin.grid;
+    const std::vector<TracedRun> traced = rerun_cell(*grid, pin.cell);
+    EXPECT_EQ(fnv1a(traced_runs_to_json(*grid, pin.cell, traced)), pin.hash)
+        << pin.grid << " cell " << pin.cell << " trace bytes drifted";
+  }
+  // The mis-then-consensus pin really covers a phase-2 log.
+  auto multihop = SweepGrid::named("multihop");
+  bool phase2 = false;
+  for (const TracedRun& t : rerun_cell(*multihop, 327)) {
+    phase2 = phase2 || t.phase2_log.has_value();
+  }
+  EXPECT_TRUE(phase2);
 }
 
 }  // namespace

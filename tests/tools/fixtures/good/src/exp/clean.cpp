@@ -10,7 +10,7 @@ namespace fixture {
 const char* kDoc = "rand() and std::mt19937 and time(0) in a string";
 const char* kRaw = R"lint(
   std::random_device inside a raw string; system_clock too
-  #include "engine/round_engine.hpp"
+  #include "engine/lane_engine.hpp"
   std::unordered_map<int, int> ghosts;
 )lint";
 

@@ -70,7 +70,6 @@ dispatch:
   --keep-work          keep the per-batch files for debugging
   --worker-bin PATH    ccd_sweep binary (default: next to ccd_dispatch)
   --worker-threads N   threads per worker (default: the workers' default)
-  --no-lanes           pass --no-lanes through to workers
 
 output:
   --json PATH          write the merged aggregate JSON report
@@ -267,7 +266,6 @@ int main(int argc, char** argv) {
   bool quiet = false;
   std::uint64_t worker_threads = 0;
   bool have_worker_threads = false;
-  bool no_lanes = false;
 
   // First pass: the grid name, so overrides below start from it.
   for (int i = 1; i < argc; ++i) {
@@ -344,8 +342,6 @@ int main(int argc, char** argv) {
       ok = v && parse_u64_flag(v, "worker-threads", worker_threads) &&
            worker_threads <= 4096;
       if (ok) have_worker_threads = true;
-    } else if (flag == "--no-lanes") {
-      no_lanes = true;
     } else if (flag == "--json") {
       const char* v = next();
       ok = v != nullptr;
@@ -394,7 +390,6 @@ int main(int argc, char** argv) {
     options.worker_args.push_back("--threads");
     options.worker_args.push_back(std::to_string(worker_threads));
   }
-  if (no_lanes) options.worker_args.push_back("--no-lanes");
   options.worker_perf = !perf_path.empty();
 
   DispatchProgressPrinter progress;

@@ -1,5 +1,7 @@
-// ccd_lane_bench: self-timed scalar-vs-lane engine throughput, emitted as
-// ccd-bench-v1 JSON (BENCH_engine_lanes.json in CI).
+// ccd_lane_bench: self-timed width-1 vs 64-wide LaneEngine throughput,
+// emitted as ccd-bench-v1 JSON (BENCH_engine_lanes.json in CI).  The
+// "scalar" entries are the width-1 engine -- the per-run executor every
+// unbatched run goes through.
 //
 // Three engine shapes, each measured with fresh engines over a fixed round
 // count (persistent engines quiesce and stop representing sweep work):
@@ -7,14 +9,15 @@
 //   consensus_clique  loss-free single-hop consensus (busy head, quiet
 //                     tail) -- the production E2..E7 shape
 //   saturated_clique  every process broadcasts every round -- worst-case
-//                     load for the O(n^2) clique delivery loop, which the
-//                     lane engine's shared-multiset path amortizes
+//                     load for the O(n^2) clique delivery loop (the
+//                     shared-multiset path serves both widths)
 //   mis_grid          MIS over the capture channel -- per-lane RNG work
-//                     the lane engine cannot share, so roughly 1x is the
-//                     honest expectation
+//                     no width can share
 //
 // rounds_per_sec counts WORLD-rounds (a 64-lane step is 64 of them), so
-// speedup = lane / scalar is the per-world-round ratio a sweep sees.
+// speedup = lane / scalar is the per-world-round gain of batching 64 seeds
+// over running them one at a time; both widths run the same per-lane
+// work, so roughly 1x is the honest expectation.
 //
 // Usage: ccd_lane_bench [--out PATH] [--rounds N] [--reps N]
 #include <chrono>
@@ -29,7 +32,6 @@
 #include "consensus/alg2_zero_oac.hpp"
 #include "consensus/harness.hpp"
 #include "engine/lane_engine.hpp"
-#include "engine/round_engine.hpp"
 #include "fault/failure_adversary.hpp"
 #include "multihop/flood.hpp"
 #include "multihop/mis.hpp"
@@ -103,16 +105,16 @@ double now_secs() {
       .count();
 }
 
-/// World-rounds per second through fresh scalar engines.
+constexpr EngineOptions kQuiet{/*record_views=*/false,
+                               /*record_rounds=*/false,
+                               /*stop_when_all_decided=*/false};
+
+/// World-rounds per second through fresh width-1 engines.
 double scalar_rounds_per_sec(MakeWorld make, std::size_t n, Round rounds,
                              int reps) {
-  EngineOptions options;
-  options.record_views = false;
-  options.record_rounds = false;
-  options.stop_when_all_decided = false;
   const double t0 = now_secs();
   for (int rep = 0; rep < reps; ++rep) {
-    RoundEngine engine(make(n, 7 + rep), options);
+    LaneEngine engine(make(n, 7 + rep), kQuiet);
     for (Round r = 0; r < rounds; ++r) engine.step();
   }
   const double dt = now_secs() - t0;
@@ -122,8 +124,6 @@ double scalar_rounds_per_sec(MakeWorld make, std::size_t n, Round rounds,
 /// World-rounds per second through fresh 64-lane engines.
 double lane_rounds_per_sec(MakeWorld make, std::size_t n, Round rounds,
                            int reps) {
-  LaneOptions options;
-  options.stop_when_all_decided = false;
   const double t0 = now_secs();
   for (int rep = 0; rep < reps; ++rep) {
     std::vector<EngineWorld> worlds;
@@ -131,7 +131,7 @@ double lane_rounds_per_sec(MakeWorld make, std::size_t n, Round rounds,
     for (std::size_t l = 0; l < kLaneWidth; ++l) {
       worlds.push_back(make(n, 1000 * rep + l));
     }
-    LaneEngine engine(std::move(worlds), options);
+    LaneEngine engine(std::move(worlds), kQuiet);
     for (Round r = 0; r < rounds; ++r) engine.step();
   }
   const double dt = now_secs() - t0;

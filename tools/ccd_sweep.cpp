@@ -93,14 +93,11 @@ scalar knobs:
 trace capture:
   --rerun-cell N       re-execute every run of report cell N of the
                        assembled grid, single-threaded, with full
-                       ExecutionLogs (record_views = true), and dump the
+                       ExecutionLogs (every round and view), and dump the
                        traces as JSON (--json PATH, else stdout)
 
 execution and output:
   --threads N          worker threads (0 = hardware concurrency; default 0)
-  --no-lanes           disable the 64-wide batched lane engine and run every
-                       run on the scalar path (reports are byte-identical
-                       either way; this is purely a throughput escape hatch)
   --json PATH          write aggregate JSON report
   --csv PATH           write per-cell CSV
   --dist-out PATH      write full per-cell distributions (ccd-dist-v1);
@@ -393,7 +390,6 @@ int main(int argc, char** argv) {
   std::string perf_path, trace_path, bench_path;
   std::uint64_t stale_after_secs = 300;
   unsigned threads = 0;
-  bool lanes = true;
   bool quiet = false;
 
   // Sharded-execution state.  `grid_flags_used` guards --shard-file: the
@@ -576,8 +572,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       ok = v != nullptr;
       if (ok) bench_path = v;
-    } else if (flag == "--no-lanes") {
-      lanes = false;
     } else if (flag == "--quiet") {
       quiet = true;
     } else if (flag == "--emit-shards") {
@@ -780,7 +774,6 @@ int main(int argc, char** argv) {
     }
     ShardRunOptions shard_options;
     shard_options.sweep.threads = threads;
-    shard_options.sweep.lanes = lanes;
     shard_options.checkpoint_path = checkpoint_path;
     shard_options.resume = resume;
     obs::SweepPerf perf;
@@ -859,7 +852,6 @@ int main(int argc, char** argv) {
 
   SweepOptions options;
   options.threads = threads;
-  options.lanes = lanes;
   obs::SweepPerf perf;
   if (!perf_path.empty() || !trace_path.empty() || !bench_path.empty()) {
     options.perf = &perf;
