@@ -1,13 +1,11 @@
 #include "exp/dispatch/dispatcher.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "exp/shard/checkpoint.hpp"
 #include "obs/telemetry.hpp"
@@ -332,10 +330,9 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
       options.on_progress(p);
     }
 
-    if (!worked && completed < n) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options.poll_ms));
-    }
+    // Idle pass: block until a worker exits (reaped on the next pass) or
+    // poll_ms passes (the heartbeat and steal cadence).
+    if (!worked && completed < n) transport->wait(options.poll_ms);
   }
 
   // Stolen stragglers may still be running: their cells are all won, so

@@ -9,9 +9,9 @@
 //     workers are plain `ccd_sweep --shard-file` invocations -- checkpoint
 //     writing, resume validation and report emission all unchanged;
 //   * liveness is read from the workers' own checkpoint JSONL heartbeats
-//     (tail_checkpoint each poll tick); a batch whose heartbeat goes stale
-//     past stale_after has its unfinished cells re-queued (STOLEN) while
-//     the laggard keeps running -- first completed copy wins;
+//     (tail_checkpoint each scheduler pass); a batch whose heartbeat goes
+//     stale past stale_after has its unfinished cells re-queued (STOLEN)
+//     while the laggard keeps running -- first completed copy wins;
 //   * a worker that exits nonzero has its checkpoint harvested (torn-tail
 //     amnesty included) so finished cells survive the crash, and the rest
 //     re-queued;
@@ -48,7 +48,7 @@ struct DispatchSlotView {
   std::uint64_t restarts = 0;    ///< lifetime nonzero exits on this slot
 };
 
-/// Snapshot handed to on_progress once per poll iteration.
+/// Snapshot handed to on_progress once per scheduler pass.
 struct DispatchProgress {
   std::size_t total_cells = 0;
   std::size_t completed_cells = 0;
@@ -67,6 +67,9 @@ struct DispatchOptions {
   /// stolen.  Age is measured from the newest checkpoint ts_ms (or the
   /// spawn time before the worker's first write).
   double stale_after_secs = 30.0;
+  /// Heartbeat and steal check interval: an idle scheduler pass waits on
+  /// the transport at most this long.  Worker exits do not wait for it --
+  /// WorkerTransport::wait wakes on them.
   std::uint64_t poll_ms = 50;
   /// A cell assigned this many times without completing aborts the
   /// dispatch (deterministic failure instead of an infinite requeue loop

@@ -1,8 +1,14 @@
 #include "exp/dispatch/worker_transport.hpp"
 
+#include <cerrno>
+#include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
+#include <thread>
 
+#include <poll.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -10,6 +16,10 @@
 extern char** environ;
 
 namespace ccd::exp {
+
+void WorkerTransport::wait(std::uint64_t timeout_ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(timeout_ms));
+}
 
 LocalProcessTransport::~LocalProcessTransport() {
   for (std::size_t i = 0; i < children_.size(); ++i) {
@@ -47,6 +57,10 @@ int LocalProcessTransport::spawn(const std::vector<std::string>& argv,
   }
   Child child;
   child.pid = pid;
+  // Raw syscall: glibc 2.36's <sys/pidfd.h> declares pidfd_open without C
+  // linkage, so its wrapper does not link from C++.  The kernel sets
+  // close-on-exec on pidfds, so later workers do not inherit this one.
+  child.pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
   child.running = true;
   children_.push_back(child);
   return static_cast<int>(children_.size() - 1);
@@ -61,18 +75,46 @@ WorkerStatus LocalProcessTransport::poll(int handle) {
   int status = 0;
   const pid_t r = ::waitpid(static_cast<pid_t>(child.pid), &status, WNOHANG);
   if (r == 0) return WorkerStatus{true, 0};
-  child.running = false;
-  child.last.running = false;
-  if (r < 0) {
-    child.last.exit_code = 127;  // already reaped?  treat as failure
-  } else if (WIFEXITED(status)) {
-    child.last.exit_code = WEXITSTATUS(status);
-  } else if (WIFSIGNALED(status)) {
-    child.last.exit_code = 128 + WTERMSIG(status);
-  } else {
-    child.last.exit_code = 127;
+  int exit_code = 127;  // r < 0: already reaped?  treat as failure
+  if (r > 0 && WIFEXITED(status)) {
+    exit_code = WEXITSTATUS(status);
+  } else if (r > 0 && WIFSIGNALED(status)) {
+    exit_code = 128 + WTERMSIG(status);
   }
+  retire(child, WorkerStatus{false, exit_code});
   return child.last;
+}
+
+void LocalProcessTransport::wait(std::uint64_t timeout_ms) {
+  // A pidfd turns readable when its process exits and stays readable
+  // until the exit is reaped, so an exit between the caller's last poll
+  // and this call still wakes it at once.
+  std::vector<pollfd> fds;
+  for (const Child& child : children_) {
+    if (!child.running) continue;
+    if (child.pidfd < 0) {
+      WorkerTransport::wait(timeout_ms);  // an exit we cannot watch
+      return;
+    }
+    fds.push_back(pollfd{child.pidfd, POLLIN, 0});
+  }
+  const int timeout =
+      timeout_ms > static_cast<std::uint64_t>(INT_MAX)
+          ? INT_MAX
+          : static_cast<int>(timeout_ms);
+  // EINTR ends the wait early, which only costs the caller one extra
+  // pass; any other failure sleeps instead, so the caller cannot spin.
+  if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout) < 0 &&
+      errno != EINTR) {
+    WorkerTransport::wait(timeout_ms);
+  }
+}
+
+void LocalProcessTransport::retire(Child& child, WorkerStatus status) {
+  if (child.pidfd >= 0) ::close(child.pidfd);
+  child.pidfd = -1;
+  child.running = false;
+  child.last = status;
 }
 
 void LocalProcessTransport::kill_worker(int handle) {
@@ -84,8 +126,7 @@ void LocalProcessTransport::kill_worker(int handle) {
   ::kill(static_cast<pid_t>(child.pid), SIGKILL);
   int status = 0;
   ::waitpid(static_cast<pid_t>(child.pid), &status, 0);  // reap, no zombies
-  child.running = false;
-  child.last = WorkerStatus{false, 128 + SIGKILL};
+  retire(child, WorkerStatus{false, 128 + SIGKILL});
 }
 
 }  // namespace ccd::exp

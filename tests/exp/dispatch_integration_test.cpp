@@ -31,7 +31,9 @@ namespace {
 /// LocalProcessTransport that SIGKILLs the FIRST worker it spawned once
 /// `after_ms` of dispatch time has passed -- a crash injected from the
 /// transport seam, so the scheduler under test sees a real dead process
-/// with a real partial checkpoint, not a mock.
+/// with a real partial checkpoint, not a mock.  Every other call forwards
+/// to the inner transport, `wait` included, so the dispatcher reaps on
+/// pidfd wake-ups here exactly as it does in production.
 class KillFirstWorkerTransport : public WorkerTransport {
  public:
   explicit KillFirstWorkerTransport(std::uint64_t after_ms)
@@ -52,6 +54,8 @@ class KillFirstWorkerTransport : public WorkerTransport {
     }
     return inner_.poll(handle);
   }
+
+  void wait(std::uint64_t timeout_ms) override { inner_.wait(timeout_ms); }
 
   void kill_worker(int handle) override { inner_.kill_worker(handle); }
 

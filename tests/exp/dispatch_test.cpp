@@ -1,7 +1,8 @@
 // Dispatcher unit contracts: batch-size decay, explicit-cell shard specs
 // (the assignment format), ledger JSON, the keyed run_dispatch failure
-// modes that need no real worker, and the LocalProcessTransport
-// spawn/poll/kill lifecycle the scheduler is built on.
+// modes that need no real worker, the LocalProcessTransport
+// spawn/poll/wait/kill lifecycle the scheduler is built on, and reaping a
+// real worker on exit rather than on the poll interval.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,8 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/aggregator.hpp"
@@ -23,8 +24,31 @@
 #include "exp/sweep_grid.hpp"
 #include "exp/sweep_runner.hpp"
 
+#ifndef CCD_SWEEP_BIN
+#define CCD_SWEEP_BIN ""
+#endif
+
 namespace ccd::exp {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t ms_since(Clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                            start)
+          .count());
+}
+
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
 
 SweepGrid small_grid() {
   SweepGrid grid;
@@ -64,7 +88,7 @@ WorkerStatus wait_exit(WorkerTransport& transport, int handle) {
   for (int i = 0; i < 5000; ++i) {
     const WorkerStatus status = transport.poll(handle);
     if (!status.running) return status;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    transport.wait(2);
   }
   return WorkerStatus{};
 }
@@ -232,6 +256,100 @@ TEST(DispatchTest, DeterministicallyCrashingWorkerHitsTheAssignmentCap) {
   std::string error;
   EXPECT_FALSE(run_dispatch(small_grid(), options, &error).has_value());
   EXPECT_NE(error.find("assigned 2 times"), std::string::npos) << error;
+}
+
+TEST(DispatchTest, WorkerExitsAreReapedWithoutWaitingForThePollInterval) {
+  // smoke: 6 cells, so one worker runs 4 decaying batches (3, 1, 1, 1).
+  // Reaping each on its poll tick would take 4 x 20 s; reaping on exit
+  // takes well under a second.
+  const std::string worker_bin = CCD_SWEEP_BIN;
+  ASSERT_FALSE(worker_bin.empty()) << "CCD_SWEEP_BIN not configured";
+  auto grid = SweepGrid::named("smoke");
+  ASSERT_TRUE(grid.has_value());
+  ASSERT_EQ(grid->num_cells(), 6u);
+
+  WorkDir work;
+  DispatchOptions options;
+  options.workers = 1;
+  options.poll_ms = 20000;
+  options.work_dir = work.path;
+  options.worker_bin = worker_bin;
+  options.worker_args = {"--threads", "1"};
+  const Clock::time_point start = Clock::now();
+  std::string error;
+  auto result = run_dispatch(*grid, options, &error);
+  const std::uint64_t elapsed_ms = ms_since(start);
+  ASSERT_TRUE(result.has_value()) << error;
+  EXPECT_LT(elapsed_ms, 10000u);
+  EXPECT_EQ(result->stats.batches, 4u);
+  EXPECT_EQ(result->stats.steals, 0u);
+  EXPECT_EQ(result->stats.worker_restarts, 0u);
+
+  SweepOptions sweep;
+  sweep.threads = 1;
+  const auto cells = aggregate(*grid, run_sweep(*grid, sweep));
+  EXPECT_EQ(aggregates_to_json(result->merged.grid, result->merged.cells),
+            aggregates_to_json(*grid, cells));
+  EXPECT_EQ(aggregates_to_csv(result->merged.cells), aggregates_to_csv(cells));
+  EXPECT_EQ(cells_to_dist_json(result->merged.grid, result->merged.cells),
+            cells_to_dist_json(*grid, cells));
+}
+
+TEST(WorkerTransportTest, DefaultWaitSleepsTheWholeTimeout) {
+  // A transport that cannot watch exits keeps the plain poll-interval
+  // sleep: slower to notice an exit, never wrong.
+  struct Blind : WorkerTransport {
+    int spawn(const std::vector<std::string>&,
+              const std::vector<std::string>&) override {
+      return -1;
+    }
+    WorkerStatus poll(int) override { return WorkerStatus{false, 0}; }
+    void kill_worker(int) override {}
+  } blind;
+  const Clock::time_point start = Clock::now();
+  blind.wait(30);
+  EXPECT_GE(ms_since(start), 30u);
+}
+
+TEST(LocalProcessTransportTest, WaitWakesOnWorkerExit) {
+  LocalProcessTransport transport;
+  const int quick = transport.spawn({"/bin/sh", "-c", "sleep 0.1"}, {});
+  ASSERT_GE(quick, 0);
+  Clock::time_point start = Clock::now();
+  transport.wait(60000);
+  EXPECT_LT(ms_since(start), 10000u);
+  const WorkerStatus exited = transport.poll(quick);
+  EXPECT_FALSE(exited.running);
+  EXPECT_EQ(exited.exit_code, 0);
+
+  // A live worker does not end the wait early: it runs to its timeout.
+  const int slow = transport.spawn({"/bin/sleep", "30"}, {});
+  ASSERT_GE(slow, 0);
+  start = Clock::now();
+  transport.wait(50);
+  const std::uint64_t waited_ms = ms_since(start);
+  EXPECT_GE(waited_ms, 40u);
+  EXPECT_LT(waited_ms, 10000u);
+  EXPECT_TRUE(transport.poll(slow).running);
+  transport.kill_worker(slow);
+  EXPECT_EQ(transport.poll(slow).exit_code, 137);
+}
+
+TEST(LocalProcessTransportTest, ReapAndKillCloseEveryPidfd) {
+  LocalProcessTransport transport;
+  const std::size_t before = open_fd_count();
+  for (int i = 0; i < 100; ++i) {
+    const int handle = transport.spawn({"/bin/true"}, {});
+    ASSERT_GE(handle, 0);
+    ASSERT_EQ(wait_exit(transport, handle).exit_code, 0);
+  }
+  EXPECT_EQ(open_fd_count(), before);
+  for (int i = 0; i < 100; ++i) {
+    const int handle = transport.spawn({"/bin/sleep", "30"}, {});
+    ASSERT_GE(handle, 0);
+    transport.kill_worker(handle);
+  }
+  EXPECT_EQ(open_fd_count(), before);
 }
 
 TEST(LocalProcessTransportTest, ExitCodesAndEnvPlumbThrough) {

@@ -61,7 +61,8 @@ dispatch:
   --workers N          worker process slots (default 4)
   --stale-after SECS   heartbeat age before a batch's unfinished cells are
                        stolen (default 30; fractions ok)
-  --poll-ms MS         scheduler poll interval (default 50)
+  --poll-ms MS         heartbeat and steal check interval (default 50);
+                       worker exits are reaped immediately
   --max-requeues N     abort if any cell is assigned N times without
                        completing (default 10)
   --work-dir PATH      directory for per-batch spec/report/checkpoint

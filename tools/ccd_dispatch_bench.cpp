@@ -22,7 +22,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -158,7 +157,7 @@ bool run_static_arm(const SweepGrid& grid, const std::string& work_dir,
       }
     }
     if (all_done) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    transport.wait(10);  // reaps like the dynamic arm: on exit
   }
   out->wall_ns = timer.elapsed_ns();
 
