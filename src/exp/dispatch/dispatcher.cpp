@@ -57,7 +57,9 @@ struct Slot {
 }  // namespace
 
 std::size_t next_batch_size(std::size_t pending, std::size_t workers) {
-  if (workers == 0) workers = 1;
+  // One slot has no peer to steal its tail, so splitting the queue would
+  // only add process spawns.
+  if (workers <= 1) return pending > 0 ? pending : 1;
   const std::size_t size = pending / (2 * workers);
   return size > 0 ? size : 1;
 }

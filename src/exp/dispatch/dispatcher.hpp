@@ -23,7 +23,8 @@
 //
 // Batch size decays as the queue drains (pending / 2N, floor 1): coarse
 // batches amortize process spawns early, fine batches keep the tail
-// stealable where it matters.
+// stealable where it matters.  One worker gets the whole queue at once:
+// with no peer to steal from it, splitting would only add spawns.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +123,9 @@ std::optional<DispatchResult> run_dispatch(const SweepGrid& grid,
                                            const DispatchOptions& options,
                                            std::string* error = nullptr);
 
-/// Decaying batch size: max(1, pending / (2 * workers)).  Exposed for the
-/// unit test that pins the decay shape.
+/// Decaying batch size: max(1, pending / (2 * workers)) for two or more
+/// workers; the whole queue for one (no peer can steal its tail).  Exposed
+/// for the unit test that pins the decay shape.
 std::size_t next_batch_size(std::size_t pending, std::size_t workers);
 
 /// Ledger JSON ("ccd-dispatch-ledger-v1"): cell -> winning assignment.

@@ -1,22 +1,17 @@
 #include "exp/scenario_spec.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <limits>
 
-#include "util/flat_json.hpp"
 #include "exp/world_factory.hpp"
 #include "multihop/topology.hpp"
 #include "util/bitcodec.hpp"
+#include "util/json.hpp"
 
 namespace ccd::exp {
 
 namespace {
 
-using jsonu::FlatJson;
 using jsonu::format_double;
-using jsonu::skip_quoted;
 
 template <typename E>
 std::optional<E> parse_enum(const std::string& s,
@@ -27,106 +22,42 @@ std::optional<E> parse_enum(const std::string& s,
   return std::nullopt;
 }
 
-// Parse the raw text of a "crash_schedule" array member:
+// Read a "crash_schedule" array member:
 //   [{"round":3,"process":0,"point":"before-send"}, ...]
 // Every failure is keyed down to the offending entry: unknown keys are
 // rejected (a typo like "proces" must not silently yield process 0), and
 // round/process are required.
-std::optional<std::vector<CrashEvent>> parse_crash_schedule(
-    const std::string& raw, std::string* error) {
-  auto fail = [&](const std::string& message)
-      -> std::optional<std::vector<CrashEvent>> {
-    if (error) *error = message;
-    return std::nullopt;
-  };
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < raw.size() && std::isspace(static_cast<unsigned char>(raw[i]))) {
-      ++i;
-    }
-  };
-  skip_ws();
-  if (i >= raw.size() || raw[i] != '[') {
-    return fail("crash_schedule must be a JSON array");
-  }
-  ++i;
-  std::vector<CrashEvent> events;
-  skip_ws();
-  if (i < raw.size() && raw[i] == ']') return events;  // empty schedule
-  while (true) {
-    skip_ws();
-    const std::size_t entry = events.size();
-    auto entry_tag = [&] {
-      return "crash_schedule[" + std::to_string(entry) + "]";
-    };
-    if (i >= raw.size() || raw[i] != '{') {
-      return fail(entry_tag() + " must be an object");
-    }
-    // Events hold no nested structure, so the entry ends at the next '}'
-    // outside a string.
-    std::size_t end = i;
-    while (end < raw.size() && raw[end] != '}') {
-      if (raw[end] == '"') {
-        if (!skip_quoted(raw, end)) {
-          return fail(entry_tag() + " is malformed");
-        }
-        continue;
-      }
-      ++end;
-    }
-    if (end >= raw.size()) return fail(entry_tag() + " is malformed");
-    auto flat = FlatJson::parse(raw.substr(i, end - i + 1));
-    if (!flat) return fail(entry_tag() + " is malformed");
-    i = end + 1;
-
+bool read_crash_schedule(jsonu::Reader& r, std::vector<CrashEvent>* events) {
+  static constexpr std::string_view kKeys[] = {"round", "process", "point"};
+  if (!r.begin_array()) return false;
+  events->clear();
+  while (r.next_element()) {
     CrashEvent event;
-    bool have_round = false, have_process = false;
-    for (const auto& [key, value] : flat->members) {
-      if (key == "round" || key == "process") {
-        char* num_end = nullptr;
-        const std::uint64_t v = std::strtoull(value.c_str(), &num_end, 10);
-        if (!num_end || *num_end != '\0' || value.empty() ||
-            v > std::numeric_limits<std::uint32_t>::max()) {
-          return fail("bad value '" + value + "' for key '" + key + "' in " +
-                      entry_tag() + " (expected an unsigned 32-bit integer)");
-        }
-        if (key == "round") {
-          event.round = static_cast<Round>(v);
-          have_round = true;
-        } else {
-          event.process = static_cast<ProcessId>(v);
-          have_process = true;
-        }
-      } else if (key == "point") {
-        auto point = parse_crash_point(value);
-        if (!point) {
-          return fail("bad value '" + value + "' for key 'point' in " +
-                      entry_tag() + " (expected before-send or after-send)");
-        }
-        event.point = *point;
+    std::uint64_t seen = 0;
+    std::string_view key;
+    if (!r.begin_object()) return false;
+    while (r.next_member(&key)) {
+      const int slot = jsonu::find_key(key, kKeys, 3, 0);
+      if (slot < 0) return r.unknown_key("round, process, point");
+      if (!r.claim(&seen, static_cast<unsigned>(slot))) return false;
+      if (slot == 0) {
+        if (!jsonu::read_uint(r, &event.round)) return false;
+      } else if (slot == 1) {
+        if (!jsonu::read_uint(r, &event.process)) return false;
       } else {
-        return fail("unknown key '" + key + "' in " + entry_tag() +
-                    " (expected round, process, point)");
+        std::string_view value;
+        if (!r.string(&value)) return false;
+        auto point = parse_crash_point(std::string(value));
+        if (!point) return r.reject(value, "before-send or after-send");
+        event.point = *point;
       }
     }
-    if (!have_round) return fail(entry_tag() + " missing key 'round'");
-    if (!have_process) return fail(entry_tag() + " missing key 'process'");
-    events.push_back(event);
-
-    skip_ws();
-    if (i < raw.size() && raw[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < raw.size() && raw[i] == ']') {
-      ++i;
-      skip_ws();
-      if (i != raw.size()) break;  // trailing junk
-      return events;
-    }
-    break;
+    if (!r.ok()) return false;
+    if ((seen & 1) == 0) return r.fail("missing key 'round'" + r.where());
+    if ((seen & 2) == 0) return r.fail("missing key 'process'" + r.where());
+    events->push_back(event);
   }
-  return fail("crash_schedule array is malformed");
+  return r.ok();
 }
 
 /// Shared shape of the topology-cut generators: every vertex in `victims`
@@ -395,116 +326,123 @@ std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json) {
   return from_json(json, nullptr);
 }
 
+
 std::optional<ScenarioSpec> ScenarioSpec::from_json(const std::string& json,
                                                     std::string* error) {
-  auto fail = [&](const std::string& message) -> std::optional<ScenarioSpec> {
-    if (error) *error = message;
-    return std::nullopt;
-  };
-
-  auto flat = FlatJson::parse(json);
-  if (!flat) return fail("not a flat JSON object");
-
+  jsonu::Reader r(json);
   ScenarioSpec spec;
-  bool ok = true;
-  // First failure wins: report the offending key AND the rejected value so
-  // a hand-written spec file is debuggable from the message alone.
-  auto report = [&](const char* key, const std::string& raw,
-                    const char* expected) {
-    if (ok && error) {
-      *error = std::string("bad value '") + raw + "' for key '" + key +
-               "' (expected " + expected + ")";
-    }
-    ok = false;
-  };
-  auto read_enum = [&](const char* key, auto parse_fn, auto& field,
-                       const char* expected) {
-    const std::string* raw = flat->find(key);
-    if (!raw) return;  // absent members keep their default
-    auto parsed = parse_fn(*raw);
-    if (parsed) {
-      field = *parsed;
-    } else {
-      report(key, *raw, expected);
-    }
-  };
-  auto read_u64 = [&](const char* key, auto& field) {
-    const std::string* raw = flat->find(key);
-    if (!raw) return;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(raw->c_str(), &end, 10);
-    if (end && *end == '\0') {
-      field = static_cast<std::remove_reference_t<decltype(field)>>(v);
-    } else {
-      report(key, *raw, "an unsigned integer");
-    }
-  };
-  auto read_double = [&](const char* key, double& field) {
-    const std::string* raw = flat->find(key);
-    if (!raw) return;
-    char* end = nullptr;
-    const double v = std::strtod(raw->c_str(), &end);
-    if (end && *end == '\0') {
-      field = v;
-    } else {
-      report(key, *raw, "a number");
-    }
-  };
+  if (read_json(r, &spec) && r.end()) return spec;
+  if (error) *error = r.error();
+  return std::nullopt;
+}
 
-  read_enum("alg", parse_alg, spec.alg, "one of alg1..alg4, naive");
-  read_enum("detector", parse_detector, spec.detector,
-            "a Figure 1 class, nocd or noacc");
-  read_enum("policy", parse_policy, spec.policy, "an advice policy");
-  read_enum("cm", parse_cm, spec.cm, "nocm, wakeup, leader or backoff");
-  read_enum("loss", parse_loss, spec.loss,
-            "noloss, ecf, prob or unrestricted");
-  read_enum("fault", parse_fault, spec.fault,
-            "none, random-crash or scheduled");
-  if (const std::string* raw = flat->find("crash_schedule")) {
-    std::string schedule_error;
-    auto events = parse_crash_schedule(*raw, &schedule_error);
-    if (events) {
-      spec.crash_schedule = std::move(*events);
-    } else {
-      if (ok && error) *error = schedule_error;
-      ok = false;
-    }
-  }
-  if (const std::string* raw = flat->find("crash_schedule_name")) {
-    // A typo'd generator name must not silently expand to an empty
-    // schedule (a failure-free run masquerading as a faulted one).
-    const auto known = crash_schedule_names();
-    if (std::find(known.begin(), known.end(), *raw) != known.end()) {
-      spec.crash_schedule_name = *raw;
-    } else {
-      std::string expected = "a known generator:";
-      for (const std::string& name : known) {
-        expected += " " + name + (name == known.back() ? "" : ",");
+bool ScenarioSpec::read_json(jsonu::Reader& r, ScenarioSpec* out) {
+  // to_json's key order; the hint makes in-order input one compare a key.
+  static constexpr std::string_view kKeys[] = {
+      "alg",        "detector",       "policy",
+      "cm",         "loss",           "fault",
+      "crash_schedule", "crash_schedule_name", "init",
+      "chaos",      "topology",       "workload",
+      "n",          "num_values",     "cst_target",
+      "p_deliver",  "spurious_p",     "crash_p",
+      "density",    "id_space",       "sync_rho",
+      "sync_round_length", "max_rounds", "seed"};
+  constexpr std::size_t kCount = sizeof(kKeys) / sizeof(kKeys[0]);
+  ScenarioSpec spec;
+  // An enum member: the string must name one of the kind's tokens.
+  auto read_enum = [&r](auto parse_fn, auto& field,
+                        std::string_view expected) {
+    std::string_view value;
+    if (!r.string(&value)) return false;
+    auto parsed = parse_fn(std::string(value));
+    if (!parsed) return r.reject(value, expected);
+    field = *parsed;
+    return true;
+  };
+  if (!r.begin_object()) return false;
+  std::uint64_t seen = 0;
+  std::size_t hint = 0;
+  std::string_view key;
+  while (r.next_member(&key)) {
+    const int slot = jsonu::find_key(key, kKeys, kCount, hint);
+    // A typo'd key must fail, not silently leave its member at the default.
+    if (slot < 0) return r.unknown_key();
+    if (!r.claim(&seen, static_cast<unsigned>(slot))) return false;
+    hint = static_cast<std::size_t>(slot) + 1;
+    bool ok = true;
+    switch (slot) {
+      case 0:
+        ok = read_enum(parse_alg, spec.alg, "one of alg1..alg4, naive");
+        break;
+      case 1:
+        ok = read_enum(parse_detector, spec.detector,
+                       "a Figure 1 class, nocd or noacc");
+        break;
+      case 2:
+        ok = read_enum(parse_policy, spec.policy, "an advice policy");
+        break;
+      case 3:
+        ok = read_enum(parse_cm, spec.cm, "nocm, wakeup, leader or backoff");
+        break;
+      case 4:
+        ok = read_enum(parse_loss, spec.loss,
+                       "noloss, ecf, prob or unrestricted");
+        break;
+      case 5:
+        ok = read_enum(parse_fault, spec.fault,
+                       "none, random-crash or scheduled");
+        break;
+      case 6: ok = read_crash_schedule(r, &spec.crash_schedule); break;
+      case 7: {
+        // A typo'd generator name must not silently expand to an empty
+        // schedule (a failure-free run masquerading as a faulted one).
+        std::string_view value;
+        ok = r.string(&value);
+        if (!ok) break;
+        const auto known = crash_schedule_names();
+        if (std::find(known.begin(), known.end(), value) != known.end()) {
+          spec.crash_schedule_name = std::string(value);
+        } else {
+          std::string expected = "a known generator:";
+          for (const std::string& name : known) {
+            expected += " " + name + (name == known.back() ? "" : ",");
+          }
+          ok = r.reject(value, expected);
+        }
+        break;
       }
-      report("crash_schedule_name", *raw, expected.c_str());
+      case 8:
+        ok = read_enum(parse_init, spec.init, "random, split or same");
+        break;
+      case 9:
+        ok = read_enum(parse_chaos, spec.chaos, "calm or chaotic");
+        break;
+      case 10:
+        ok = read_enum(parse_topology, spec.topology,
+                       "singlehop, line, ring, grid or rgg");
+        break;
+      case 11:
+        ok = read_enum(parse_workload, spec.workload,
+                       "consensus, flood, mis or mis-then-consensus");
+        break;
+      case 12: ok = jsonu::read_uint(r, &spec.n); break;
+      case 13: ok = jsonu::read_uint(r, &spec.num_values); break;
+      case 14: ok = jsonu::read_uint(r, &spec.cst_target); break;
+      case 15: ok = r.f64(&spec.p_deliver); break;
+      case 16: ok = r.f64(&spec.spurious_p); break;
+      case 17: ok = r.f64(&spec.crash_p); break;
+      case 18: ok = r.f64(&spec.density); break;
+      case 19: ok = jsonu::read_uint(r, &spec.id_space); break;
+      case 20: ok = r.f64(&spec.sync_rho); break;
+      case 21: ok = r.f64(&spec.sync_round_length); break;
+      case 22: ok = jsonu::read_uint(r, &spec.max_rounds); break;
+      default: ok = jsonu::read_uint(r, &spec.seed); break;
     }
+    if (!ok) return false;
   }
-  read_enum("init", parse_init, spec.init, "random, split or same");
-  read_enum("chaos", parse_chaos, spec.chaos, "calm or chaotic");
-  read_enum("topology", parse_topology, spec.topology,
-            "singlehop, line, ring, grid or rgg");
-  read_enum("workload", parse_workload, spec.workload,
-            "consensus, flood, mis or mis-then-consensus");
-  read_u64("n", spec.n);
-  read_u64("num_values", spec.num_values);
-  read_u64("cst_target", spec.cst_target);
-  read_double("p_deliver", spec.p_deliver);
-  read_double("spurious_p", spec.spurious_p);
-  read_double("crash_p", spec.crash_p);
-  read_double("density", spec.density);
-  read_u64("id_space", spec.id_space);
-  read_double("sync_rho", spec.sync_rho);
-  read_double("sync_round_length", spec.sync_round_length);
-  read_u64("max_rounds", spec.max_rounds);
-  read_u64("seed", spec.seed);
-
-  if (!ok) return std::nullopt;
-  return spec;
+  if (!r.ok()) return false;
+  *out = std::move(spec);
+  return true;
 }
 
 std::string ScenarioSpec::cell_key() const {

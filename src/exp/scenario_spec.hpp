@@ -20,6 +20,10 @@
 #include "fault/failure_adversary.hpp"
 #include "model/types.hpp"
 
+namespace ccd::jsonu {
+class Reader;
+}  // namespace ccd::jsonu
+
 namespace ccd::exp {
 
 /// Which protocol a consensus run executes (Section 7's upper bounds plus
@@ -251,6 +255,9 @@ struct ScenarioSpec {
   /// should be debuggable from the message alone).
   static std::optional<ScenarioSpec> from_json(const std::string& json,
                                                std::string* error);
+  /// The spec object at `r`'s position (a grid's "base" member); errors
+  /// are keyed on `r`, and unknown or duplicate keys are errors.
+  static bool read_json(jsonu::Reader& r, ScenarioSpec* out);
 
   /// Identity of the grid CELL this run belongs to: the spec with the seed
   /// normalized out.  Equal cell keys = same parameter combination.

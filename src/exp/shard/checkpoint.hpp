@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,22 +49,25 @@ struct CheckpointContents {
   bool missing = false;
 };
 
-/// Load `path`, validating the header against `shard` (format + grid
-/// fingerprint) and every marker's cell against shard ownership.  Torn
+/// Load `path`, validating the header against `shard` (format, grid
+/// fingerprint and, when the header names one, shard identity) and every
+/// marker's cell against shard ownership.  Each line is read once.  Torn
 /// final lines -- including a header torn mid-write -- are forgiven and
 /// reported via torn_tail; every other malformation fails with a keyed
 /// message in *error.  A missing file is success with missing = true.
 bool load_checkpoint(const ShardSpec& shard, const std::string& path,
                      CheckpointContents* out, std::string* error);
 
-/// Lenient progress probe for live tailing: which cells have markers, and
-/// the newest heartbeat seen.  Unparseable lines are skipped (the file is
+/// Lenient progress probe for live tailing: which cells have markers, the
+/// newest heartbeat seen and (if asked) the worker of the newest marker
+/// that names one.  Unparseable lines are skipped (the file is
 /// mid-append), no ownership or fingerprint validation happens, and the
 /// aggregates are not reconstructed -- this is cheap enough to call every
 /// dispatcher poll tick.  False only if the file exists but cannot be
 /// opened.
 bool tail_checkpoint(const std::string& path,
                      std::vector<std::size_t>* cells_done,
-                     std::uint64_t* last_ts_ms);
+                     std::uint64_t* last_ts_ms,
+                     std::optional<std::uint32_t>* last_worker = nullptr);
 
 }  // namespace ccd::exp

@@ -1,9 +1,8 @@
 #include "exp/shard/shard_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "util/flat_json.hpp"
+#include "util/json.hpp"
 
 namespace ccd::exp {
 
@@ -99,112 +98,136 @@ std::string ShardSpec::to_json() const {
   return out;
 }
 
-std::optional<ShardSpec> ShardSpec::from_json(const std::string& json,
-                                              std::string* error) {
-  auto fail = [&](const std::string& message) -> std::optional<ShardSpec> {
-    if (error) *error = message;
-    return std::nullopt;
-  };
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) return fail("shard spec is not a flat JSON object");
-
-  const std::string* format = flat->find("format");
-  if (!format || *format != "ccd-shard-spec-v1") {
-    return fail("missing or unknown \"format\" (expected ccd-shard-spec-v1)");
-  }
-
-  ShardSpec spec;
-  auto read_size = [&](const char* key, std::size_t& field) {
-    const std::string* raw = flat->find(key);
-    if (!raw) return std::string("missing key '") + key + "'";
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw->c_str(), &end, 10);
-    if (!end || *end != '\0' || raw->empty() || (*raw)[0] == '-') {
-      return "bad value '" + *raw + "' for key '" + key + "'";
+bool ShardSpecReader::read_member(jsonu::Reader& r, std::string_view key,
+                                  bool* handled) {
+  static constexpr std::string_view kKeys[] = {
+      "shard_index", "shard_count", "mode", "grid_fingerprint", "grid"};
+  int slot = jsonu::find_key(key, kKeys, 5, 0);
+  if (slot < 0 && key == cells_key_) slot = 5;
+  *handled = slot >= 0;
+  if (slot < 0) return true;
+  if (!r.claim(&seen_, static_cast<unsigned>(slot))) return false;
+  switch (slot) {
+    case 0: return jsonu::read_uint(r, &spec_.shard_index);
+    case 1: return jsonu::read_uint(r, &spec_.shard_count);
+    case 2: {
+      std::string_view value;
+      if (!r.string(&value)) return false;
+      auto mode = parse_shard_mode(std::string(value));
+      if (!mode) return r.reject(value, "contiguous, strided or explicit");
+      spec_.mode = *mode;
+      return true;
     }
-    field = static_cast<std::size_t>(v);
-    return std::string();
-  };
-  if (auto e = read_size("shard_index", spec.shard_index); !e.empty()) {
-    return fail(e);
-  }
-  if (auto e = read_size("shard_count", spec.shard_count); !e.empty()) {
-    return fail(e);
-  }
-  if (spec.shard_count == 0) return fail("shard_count must be >= 1");
-  if (const std::string* raw = flat->find("mode")) {
-    auto mode = parse_shard_mode(*raw);
-    if (!mode) {
-      return fail("bad value '" + *raw +
-                  "' for key 'mode' (expected contiguous, strided or "
-                  "explicit)");
+    case 3: {
+      std::string_view value;
+      if (!r.string(&value)) return false;
+      auto fp = fingerprint_from_hex(std::string(value));
+      if (!fp) return r.reject(value, "16 hex digits");
+      spec_.grid_fingerprint = *fp;
+      return true;
     }
-    spec.mode = *mode;
-  } else {
-    return fail("missing key 'mode'");
+    case 4: return SweepGrid::read_json(r, &spec_.grid);
+    default: {
+      if (!r.begin_array()) return false;
+      while (r.next_element()) {
+        std::size_t c = 0;
+        if (!jsonu::read_uint(r, &c)) return false;
+        if (!spec_.cells.empty() && spec_.cells.back() >= c) {
+          std::string message = "'";
+          message.append(cells_key_);
+          message += "' must be strictly ascending (saw ";
+          message += std::to_string(spec_.cells.back()) + " then ";
+          message += std::to_string(c) + ")" + r.where();
+          return r.fail(std::move(message));
+        }
+        spec_.cells.push_back(c);
+      }
+      return r.ok();
+    }
   }
+}
+
+std::size_t ShardSpecReader::cell_count_hint() const {
+  // Capped: a hostile grid's cell count says nothing about the input.
+  constexpr std::size_t kCap = std::size_t{1} << 16;
+  if (spec_.mode == ShardMode::kExplicit) return spec_.cells.size();
+  if ((seen_ & kGridBit) == 0 || spec_.shard_count == 0) return 0;
+  return std::min(kCap, spec_.grid.num_cells() / spec_.shard_count + 1);
+}
+
+bool ShardSpecReader::finish(jsonu::Reader& r, ShardSpec* out) {
+  static constexpr const char* kRequired[] = {
+      "shard_index", "shard_count", "mode", "grid_fingerprint", "grid"};
+  for (unsigned slot = 0; slot < 5; ++slot) {
+    if ((seen_ & (1u << slot)) == 0) {
+      return r.fail(std::string("missing key '") + kRequired[slot] + "'" +
+                    r.where());
+    }
+  }
+  if (spec_.shard_count == 0) return r.fail("shard_count must be >= 1");
   // Derived modes partition by index arithmetic, so the index must name a
   // real shard.  For explicit specs shard_index is a free-form batch id.
-  if (spec.mode != ShardMode::kExplicit &&
-      spec.shard_index >= spec.shard_count) {
-    return fail("shard_index " + std::to_string(spec.shard_index) +
-                " out of range for shard_count " +
-                std::to_string(spec.shard_count));
+  if (spec_.mode != ShardMode::kExplicit &&
+      spec_.shard_index >= spec_.shard_count) {
+    return r.fail("shard_index " + std::to_string(spec_.shard_index) +
+                  " out of range for shard_count " +
+                  std::to_string(spec_.shard_count));
   }
-
-  const std::string* fp_raw = flat->find("grid_fingerprint");
-  if (!fp_raw) return fail("missing key 'grid_fingerprint'");
-  auto fp = fingerprint_from_hex(*fp_raw);
-  if (!fp) {
-    return fail("bad value '" + *fp_raw +
-                "' for key 'grid_fingerprint' (expected 16 hex digits)");
-  }
-  spec.grid_fingerprint = *fp;
-
-  const std::string* grid_raw = flat->find("grid");
-  if (!grid_raw) return fail("missing key 'grid'");
-  std::string grid_error;
-  auto grid = SweepGrid::from_json(*grid_raw, &grid_error);
-  if (!grid) return fail("grid: " + grid_error);
-  spec.grid = *grid;
-
   // Stale-shard rejection: the embedded fingerprint must match the grid it
   // travels with.  A spec whose grid was edited after planning (or planned
   // by an incompatible build) is refused here, before any cell runs.
-  if (spec.grid.fingerprint() != spec.grid_fingerprint) {
-    return fail("grid fingerprint mismatch: file says " + *fp_raw +
-                " but the embedded grid hashes to " +
-                fingerprint_to_hex(spec.grid.fingerprint()) +
-                " (stale or hand-edited shard spec?)");
+  if (spec_.grid.fingerprint() != spec_.grid_fingerprint) {
+    return r.fail("grid fingerprint mismatch: file says " +
+                  fingerprint_to_hex(spec_.grid_fingerprint) +
+                  " but the embedded grid hashes to " +
+                  fingerprint_to_hex(spec_.grid.fingerprint()) +
+                  " (stale or hand-edited shard spec?)");
   }
-
-  const std::string* cells_raw = flat->find("cells");
-  if (spec.mode == ShardMode::kExplicit) {
-    if (!cells_raw) return fail("mode explicit needs a 'cells' array");
-    auto items = jsonu::parse_array_items(*cells_raw);
-    if (!items) return fail("'cells' is not a JSON array");
-    spec.cells.reserve(items->size());
-    for (const std::string& item : *items) {
-      char* end = nullptr;
-      const unsigned long long c = std::strtoull(item.c_str(), &end, 10);
-      if (!end || *end != '\0' || item.empty() || item[0] == '-') {
-        return fail("bad cell '" + item + "' in 'cells'");
-      }
-      if (c >= spec.grid.num_cells()) {
-        return fail("cell " + item + " out of range (grid has " +
-                    std::to_string(spec.grid.num_cells()) + " cells)");
-      }
-      if (!spec.cells.empty() && spec.cells.back() >= c) {
-        return fail("'cells' must be strictly ascending (saw " +
-                    std::to_string(spec.cells.back()) + " then " + item +
-                    ")");
-      }
-      spec.cells.push_back(static_cast<std::size_t>(c));
+  const bool have_cells = (seen_ & (1u << 5)) != 0;
+  if (spec_.mode == ShardMode::kExplicit) {
+    if (!have_cells) {
+      return r.fail("mode explicit needs a '" + std::string(cells_key_) +
+                    "' array");
     }
-  } else if (cells_raw) {
-    return fail("'cells' is only valid with mode explicit");
+    if (!spec_.cells.empty() &&
+        spec_.cells.back() >= spec_.grid.num_cells()) {
+      return r.fail("cell " + std::to_string(spec_.cells.back()) +
+                    " out of range (grid has " +
+                    std::to_string(spec_.grid.num_cells()) + " cells)");
+    }
+  } else if (have_cells) {
+    std::string message = "'";
+    message.append(cells_key_);
+    message += "' is only valid with mode explicit";
+    return r.fail(std::move(message));
   }
-  return spec;
+  *out = std::move(spec_);
+  return true;
+}
+
+std::optional<ShardSpec> ShardSpec::from_json(const std::string& json,
+                                              std::string* error) {
+  constexpr std::string_view kFormat = "ccd-shard-spec-v1";
+  jsonu::Reader r(json);
+  ShardSpecReader fields("cells");
+  std::uint64_t format_seen = 0;
+  std::string_view key;
+  if (r.begin_object()) {
+    while (r.next_member(&key)) {
+      bool handled = false;
+      const bool ok =
+          key == "format"
+              ? r.claim(&format_seen, 0) && jsonu::read_format(r, kFormat)
+              : fields.read_member(r, key, &handled) &&
+                    (handled || r.unknown_key());
+      if (!ok) break;
+    }
+  }
+  if (r.ok() && format_seen == 0) jsonu::missing_format(r, kFormat);
+  ShardSpec spec;
+  if (r.ok() && fields.finish(r, &spec) && r.end()) return spec;
+  if (error) *error = r.error();
+  return std::nullopt;
 }
 
 std::vector<ShardSpec> ShardPlanner::plan(const SweepGrid& grid,

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/sweep_grid.hpp"
@@ -57,6 +58,40 @@ struct ShardSpec {
   std::string to_json() const;
   static std::optional<ShardSpec> from_json(const std::string& json,
                                             std::string* error = nullptr);
+};
+
+/// Member-by-member reader for the shard identity a shard spec and a shard
+/// report share: shard_index, shard_count, mode, grid_fingerprint, grid and
+/// the explicit cell list.  A report's header is read in the same pass as
+/// its cells instead of being re-wrapped into a spec and parsed again.
+class ShardSpecReader {
+ public:
+  /// `cells_key` names the explicit cell list: "cells" in a spec,
+  /// "cell_list" in a report (whose "cells" holds the aggregates).
+  explicit ShardSpecReader(std::string_view cells_key)
+      : cells_key_(cells_key) {}
+
+  /// Reads member `key` into the spec if it is a shard identity member and
+  /// sets *handled accordingly; false on a (keyed) error.
+  bool read_member(jsonu::Reader& r, std::string_view key, bool* handled);
+  /// The embedded grid once its member has been read, else nullptr.
+  const SweepGrid* grid() const {
+    return (seen_ & kGridBit) ? &spec_.grid : nullptr;
+  }
+  /// How many cells the identity read so far owns (0 when unknown): a
+  /// capacity hint for the cells that follow it.
+  std::size_t cell_count_hint() const;
+  /// After the enclosing object closed: every required member present,
+  /// the fingerprint matches the embedded grid (a stale or hand-edited
+  /// spec must not run, let alone merge), explicit cells in range and
+  /// strictly ascending.
+  bool finish(jsonu::Reader& r, ShardSpec* out);
+
+ private:
+  static constexpr std::uint64_t kGridBit = 1u << 4;
+  std::string_view cells_key_;
+  ShardSpec spec_;
+  std::uint64_t seen_ = 0;
 };
 
 class ShardPlanner {

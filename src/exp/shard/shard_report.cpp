@@ -1,9 +1,9 @@
 #include "exp/shard/shard_report.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <iterator>
 
-#include "util/flat_json.hpp"
+#include "util/json.hpp"
 
 namespace ccd::exp {
 
@@ -73,55 +73,105 @@ std::string cell_aggregate_to_json(const CellAggregate& cell) {
   return out;
 }
 
+namespace {
+
+// Member slots of a cell object, in cell_aggregate_to_json's order: the
+// index, the counters, the statistics, then a checkpoint marker's
+// heartbeat fields.
+constexpr std::size_t kCounterSlot0 = 1;
+constexpr std::size_t kStatsSlot0 = kCounterSlot0 + std::size(kCounters);
+
+struct CellKeys {
+  std::vector<std::string_view> keys;
+  std::size_t ts_slot = 0;  ///< "ts_ms"; "worker" follows
+  std::uint64_t required = 0;
+};
+
+const CellKeys& cell_keys() {
+  static const CellKeys table = [] {
+    CellKeys t;
+    t.keys.push_back("cell");
+    for (const CounterField& f : kCounters) t.keys.push_back(f.key);
+    for (const CellStatsField& f : cell_stats_fields()) {
+      t.keys.push_back(f.name);
+    }
+    t.ts_slot = t.keys.size();
+    t.required = (std::uint64_t{1} << t.ts_slot) - 1;
+    t.keys.push_back("ts_ms");
+    t.keys.push_back("worker");
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
+
+bool read_cell_aggregate(jsonu::Reader& r, const SweepGrid& grid,
+                         CellAggregate* cell, CellHeartbeat* heartbeat) {
+  const CellKeys& table = cell_keys();
+  const std::vector<CellStatsField>& stats = cell_stats_fields();
+  if (!r.begin_object()) return false;
+  std::uint64_t seen = 0;
+  std::uint64_t index = 0;
+  std::size_t hint = 0;
+  std::string_view key;
+  while (r.next_member(&key)) {
+    const int found =
+        jsonu::find_key(key, table.keys.data(), table.keys.size(), hint);
+    // Heartbeat fields belong to checkpoint markers only: in a report they
+    // would be dropped on the way back out.
+    if (found < 0 || (!heartbeat && static_cast<std::size_t>(found) >=
+                                        table.ts_slot)) {
+      return r.unknown_key();
+    }
+    const auto slot = static_cast<std::size_t>(found);
+    if (!r.claim(&seen, static_cast<unsigned>(slot))) return false;
+    hint = slot + 1;
+    bool ok = true;
+    if (slot == 0) {
+      ok = r.u64(&index);
+    } else if (slot < kStatsSlot0) {
+      const CounterField& f = kCounters[slot - kCounterSlot0];
+      ok = jsonu::read_uint(r, &(cell->*(f.member)));
+    } else if (slot < table.ts_slot) {
+      // Histogram bins install by count addition, raw buffers replay via
+      // add() in insertion order: the worker's accumulator, exactly.
+      ok = read_stats(r, &(cell->*(stats[slot - kStatsSlot0].member)));
+    } else if (slot == table.ts_slot) {
+      ok = r.u64(&heartbeat->ts_ms);
+    } else {
+      std::uint32_t worker = 0;
+      ok = jsonu::read_uint(r, &worker);
+      heartbeat->worker = worker;
+    }
+    if (!ok) return false;
+  }
+  if (!r.ok()) return false;
+  if ((seen & table.required) != table.required) {
+    for (std::size_t slot = 0; slot < table.ts_slot; ++slot) {
+      if ((seen & (std::uint64_t{1} << slot)) == 0) {
+        return r.fail("missing key '" + std::string(table.keys[slot]) + "'" +
+                      r.where());
+      }
+    }
+  }
+  if (index >= grid.num_cells()) {
+    return r.fail("cell " + std::to_string(index) + " out of range (grid has " +
+                  std::to_string(grid.num_cells()) + " cells)" + r.where());
+  }
+  cell->cell_index = static_cast<std::size_t>(index);
+  cell->spec = grid.spec_for_cell(cell->cell_index);
+  return true;
+}
+
 std::optional<CellAggregate> cell_aggregate_from_json(const SweepGrid& grid,
                                                       const std::string& json,
                                                       std::string* error) {
-  auto fail = [&](const std::string& message)
-      -> std::optional<CellAggregate> {
-    if (error) *error = message;
-    return std::nullopt;
-  };
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) return fail("cell aggregate is not a flat JSON object");
-
-  const std::string* cell_raw = flat->find("cell");
-  if (!cell_raw) return fail("cell aggregate missing key 'cell'");
-  char* end = nullptr;
-  const unsigned long long c = std::strtoull(cell_raw->c_str(), &end, 10);
-  if (!end || *end != '\0' || cell_raw->empty() ||
-      (*cell_raw)[0] == '-') {  // strtoull would silently wrap negatives
-    return fail("bad value '" + *cell_raw + "' for key 'cell'");
-  }
-  if (c >= grid.num_cells()) {
-    return fail("cell " + std::to_string(c) + " out of range (grid has " +
-                std::to_string(grid.num_cells()) + " cells)");
-  }
-
-  CellAggregate cell = empty_cell_aggregate(grid, static_cast<std::size_t>(c));
-  for (const CounterField& f : kCounters) {
-    const std::string* raw = flat->find(f.key);
-    if (!raw) return fail(std::string("cell aggregate missing key '") +
-                          f.key + "'");
-    char* num_end = nullptr;
-    const unsigned long long v = std::strtoull(raw->c_str(), &num_end, 10);
-    if (!num_end || *num_end != '\0' || raw->empty() || (*raw)[0] == '-') {
-      return fail("bad value '" + *raw + "' for key '" + f.key + "'");
-    }
-    cell.*(f.member) = static_cast<std::size_t>(v);
-  }
-  for (const CellStatsField& f : cell_stats_fields()) {
-    const std::string* raw = flat->find(f.name);
-    if (!raw) return fail(std::string("cell aggregate missing key '") +
-                          f.name + "'");
-    // Histogram bins install by count addition; raw buffers (and legacy
-    // v1 bare sample arrays) replay via add() in insertion order.  Either
-    // way the worker's accumulator state is reproduced exactly.
-    std::string stats_error;
-    if (!stats_from_json(*raw, &(cell.*(f.member)), &stats_error)) {
-      return fail(std::string("key '") + f.name + "': " + stats_error);
-    }
-  }
-  return cell;
+  jsonu::Reader r(json);
+  CellAggregate cell;
+  if (read_cell_aggregate(r, grid, &cell, nullptr) && r.end()) return cell;
+  if (error) *error = r.error();
+  return std::nullopt;
 }
 
 std::string ShardReport::to_json() const {
@@ -154,67 +204,60 @@ std::string ShardReport::to_json() const {
 
 std::optional<ShardReport> ShardReport::from_json(const std::string& json,
                                                   std::string* error) {
-  auto fail = [&](const std::string& message) -> std::optional<ShardReport> {
-    if (error) *error = message;
-    return std::nullopt;
-  };
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) return fail("shard report is not a flat JSON object");
-  // v2 encodes statistics as histograms/raw-buffer objects; v1 (the
-  // legacy format) as bare sample arrays.  The per-stats decoder accepts
-  // both, so old shard reports keep merging.
-  const std::string* format = flat->find("format");
-  if (!format || (*format != "ccd-shard-report-v2" &&
-                  *format != "ccd-shard-report-v1")) {
-    return fail(
-        "missing or unknown \"format\" (expected ccd-shard-report-v2 or the "
-        "legacy ccd-shard-report-v1)");
-  }
-
-  // The report header doubles as a shard spec; reuse its parser (and its
-  // fingerprint-vs-grid consistency check) by re-wrapping the members.
-  std::string spec_json = "{\"format\":\"ccd-shard-spec-v1\"";
-  for (const char* key :
-       {"shard_index", "shard_count", "mode", "grid_fingerprint"}) {
-    const std::string* raw = flat->find(key);
-    if (!raw) return fail(std::string("missing key '") + key + "'");
-    spec_json += ",\"";
-    spec_json += key;
-    spec_json += "\":";
-    spec_json += (key == std::string("shard_index") ||
-                  key == std::string("shard_count"))
-                     ? *raw
-                     : jsonu::quote(*raw);
-  }
-  const std::string* grid_raw = flat->find("grid");
-  if (!grid_raw) return fail("missing key 'grid'");
-  spec_json += ",\"grid\":" + *grid_raw;
-  if (const std::string* cell_list = flat->find("cell_list")) {
-    spec_json += ",\"cells\":" + *cell_list;
-  }
-  spec_json += "}";
-
+  constexpr std::string_view kFormat = "ccd-shard-report-v2";
+  jsonu::Reader r(json);
+  ShardSpecReader header("cell_list");
   ShardReport report;
-  std::string spec_error;
-  auto spec = ShardSpec::from_json(spec_json, &spec_error);
-  if (!spec) return fail(spec_error);
-  report.shard = std::move(*spec);
-
-  const std::string* cells_raw = flat->find("cells");
-  if (!cells_raw) return fail("missing key 'cells'");
-  auto items = jsonu::parse_array_items(*cells_raw);
-  if (!items) return fail("'cells' is not a JSON array");
-  report.cells.reserve(items->size());
-  for (std::size_t i = 0; i < items->size(); ++i) {
-    std::string cell_error;
-    auto cell =
-        cell_aggregate_from_json(report.shard.grid, (*items)[i], &cell_error);
-    if (!cell) {
-      return fail("cells[" + std::to_string(i) + "]: " + cell_error);
+  std::uint64_t seen = 0;  // bit 0: format, bit 1: cells
+  std::string_view key;
+  auto read_cells = [&] {
+    // Cells are read against the embedded grid as they stream past; the
+    // writer puts "grid" first, and a reader that had to hold the cells
+    // back until the grid showed up would scan them twice.
+    const SweepGrid* grid = header.grid();
+    if (!grid) return r.fail("key 'cells' before key 'grid'");
+    if (!r.begin_array()) return false;
+    report.cells.reserve(header.cell_count_hint());
+    while (r.next_element()) {
+      if (!read_cell_aggregate(r, *grid, &report.cells.emplace_back(),
+                               nullptr)) {
+        return false;
+      }
     }
-    report.cells.push_back(std::move(*cell));
+    return r.ok();
+  };
+  if (r.begin_object()) {
+    while (r.next_member(&key)) {
+      bool handled = false;
+      bool ok = true;
+      if (key == "format") {
+        ok = r.claim(&seen, 0) && jsonu::read_format(r, kFormat);
+      } else if (key == "cells") {
+        ok = r.claim(&seen, 1) && read_cells();
+      } else {
+        ok = header.read_member(r, key, &handled) &&
+             (handled || r.unknown_key());
+      }
+      if (!ok) break;
+    }
   }
-  return report;
+  if (r.ok() && (seen & 1) == 0) jsonu::missing_format(r, kFormat);
+  if (r.ok() && (seen & 2) == 0) r.fail("missing key 'cells'");
+  if (r.ok() && header.finish(r, &report.shard) && r.end()) {
+    for (std::size_t i = 0; i < report.cells.size(); ++i) {
+      const std::size_t cell = report.cells[i].cell_index;
+      if (!report.shard.owns_cell(cell)) {
+        r.fail("cells[" + std::to_string(i) + "]: cell " +
+               std::to_string(cell) + " is not owned by shard " +
+               std::to_string(report.shard.shard_index) + "/" +
+               std::to_string(report.shard.shard_count));
+        break;
+      }
+    }
+    if (r.ok()) return report;
+  }
+  if (error) *error = r.error();
+  return std::nullopt;
 }
 
 std::optional<MergeResult> merge_shard_reports(

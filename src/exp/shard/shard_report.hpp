@@ -10,9 +10,9 @@
 // uses.  The merged report is byte-identical to a single-process
 // full-grid run; a ctest target and a CI smoke step both enforce this.
 //
-// Format history: "ccd-shard-report-v2" (current) encodes each statistic
-// as {"h":[key,count,...]} or {"raw":[...]}; the legacy v1 format
-// (bare sample arrays) is still read back exactly.
+// Format: "ccd-shard-report-v2" encodes each statistic as
+// {"h":[key,count,...]} or {"raw":[...]} (util/stats.hpp).  The v1 format
+// (bare sample arrays) has had no producer since v2 and is not read.
 #pragma once
 
 #include <optional>
@@ -32,7 +32,7 @@ struct ShardReport {
 
   /// "ccd-shard-report-v2" JSON.
   std::string to_json() const;
-  /// Accepts v2 and the legacy v1 format.
+  /// One pass over the text; every failure is a keyed error.
   static std::optional<ShardReport> from_json(const std::string& json,
                                               std::string* error = nullptr);
 };
@@ -41,8 +41,23 @@ struct ShardReport {
 /// histogram/raw encodings).  Exposed for the checkpoint file, which is a
 /// JSONL stream of these.
 std::string cell_aggregate_to_json(const CellAggregate& cell);
-/// Inverse; the spec member is NOT serialized (cell identity is derived
-/// from the grid at merge time), so `grid` supplies it.
+
+/// Heartbeat fields a checkpoint marker carries next to its aggregate.
+struct CellHeartbeat {
+  std::uint64_t ts_ms = 0;              ///< 0 when the marker has none
+  std::optional<std::uint32_t> worker;  ///< completing worker thread
+};
+
+/// Reads one cell aggregate object at `r`'s position into *cell, which
+/// must be default-constructed.  The spec member is NOT serialized (cell
+/// identity is derived from the grid), so `grid` supplies it.  With
+/// `heartbeat` non-null a checkpoint marker's ts_ms/worker members are
+/// accepted and land there; otherwise they are unknown keys like any
+/// other.  Unknown, duplicate and missing keys are keyed errors on `r`.
+bool read_cell_aggregate(jsonu::Reader& r, const SweepGrid& grid,
+                         CellAggregate* cell, CellHeartbeat* heartbeat);
+
+/// read_cell_aggregate over a whole document.
 std::optional<CellAggregate> cell_aggregate_from_json(const SweepGrid& grid,
                                                       const std::string& json,
                                                       std::string* error);

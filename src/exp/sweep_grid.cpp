@@ -1,10 +1,9 @@
 #include "exp/sweep_grid.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <type_traits>
 
-#include "util/flat_json.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace ccd::exp {
@@ -317,124 +316,104 @@ std::string SweepGrid::to_json() const {
 
 std::optional<SweepGrid> SweepGrid::from_json(const std::string& json,
                                               std::string* error) {
-  auto fail = [&](const std::string& message) -> std::optional<SweepGrid> {
-    if (error) *error = message;
-    return std::nullopt;
-  };
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) return fail("grid is not a flat JSON object");
-
+  jsonu::Reader r(json);
   SweepGrid grid;
-  bool ok = true;
-  std::string first_error;
-  auto report = [&](const std::string& message) {
-    if (ok) first_error = message;
-    ok = false;
-  };
-  auto read_enum_axis = [&](const char* key, auto parse_fn, auto& axis) {
-    const std::string* raw = flat->find(key);
-    if (!raw) return;  // absent axis stays empty
-    auto items = jsonu::parse_array_items(*raw);
-    if (!items) {
-      report(std::string("axis '") + key + "' is not a JSON array");
-      return;
-    }
+  if (read_json(r, &grid) && r.end()) return grid;
+  if (error) *error = r.error();
+  return std::nullopt;
+}
+
+bool SweepGrid::read_json(jsonu::Reader& r, SweepGrid* out) {
+  // to_json's key order; the hint makes in-order input one compare a key.
+  static constexpr std::string_view kKeys[] = {
+      "grid_seed",  "seeds_per_cell", "base",       "algs",
+      "detectors",  "policies",       "cms",        "losses",
+      "faults",     "ns",             "value_spaces", "csts",
+      "topologies", "densities",      "workloads",  "crash_schedules"};
+  constexpr std::size_t kCount = sizeof(kKeys) / sizeof(kKeys[0]);
+  SweepGrid grid;
+  auto read_enum_axis = [&r](std::string_view key, auto parse_fn,
+                             auto& axis) {
+    if (!r.begin_array()) return false;
     axis.clear();
-    for (const std::string& item : *items) {
-      auto parsed = parse_fn(item);
+    std::string_view value;
+    while (r.next_element()) {
+      if (!r.string(&value)) return false;
+      auto parsed = parse_fn(std::string(value));
       if (!parsed) {
-        report("bad value '" + item + "' for axis '" + key + "'");
-        return;
+        return r.fail("bad value '" + std::string(value) + "' for axis '" +
+                      std::string(key) + "' at " + r.path());
       }
       axis.push_back(*parsed);
     }
+    return r.ok();
   };
-  auto read_uint_axis = [&](const char* key, auto& axis) {
-    const std::string* raw = flat->find(key);
-    if (!raw) return;
-    auto items = jsonu::parse_u64_array(*raw);
-    if (!items) {
-      report(std::string("axis '") + key +
-             "' must be an array of unsigned integers");
-      return;
-    }
+  auto read_uint_axis = [&r](auto& axis) {
+    if (!r.begin_array()) return false;
     axis.clear();
-    for (std::uint64_t v : *items) {
-      axis.push_back(
-          static_cast<typename std::remove_reference_t<
-              decltype(axis)>::value_type>(v));
+    while (r.next_element()) {
+      typename std::remove_reference_t<decltype(axis)>::value_type v{};
+      if (!jsonu::read_uint(r, &v)) return false;
+      axis.push_back(v);
     }
+    return r.ok();
   };
 
-  static const char* const known_keys[] = {
-      "grid_seed", "seeds_per_cell", "base",       "algs",
-      "detectors", "policies",       "cms",        "losses",
-      "faults",    "ns",             "value_spaces", "csts",
-      "topologies", "densities",     "workloads",  "crash_schedules"};
-  for (const auto& [key, value] : flat->members) {
-    (void)value;
-    bool known = false;
-    for (const char* k : known_keys) known = known || key == k;
+  if (!r.begin_object()) return false;
+  std::uint64_t seen = 0;
+  std::size_t hint = 0;
+  std::string_view key;
+  while (r.next_member(&key)) {
+    const int slot = jsonu::find_key(key, kKeys, kCount, hint);
     // A typo'd axis name must not silently sweep nothing.
-    if (!known) return fail("unknown key '" + key + "' in grid JSON");
-  }
-
-  if (const std::string* raw = flat->find("base")) {
-    std::string base_error;
-    auto base = ScenarioSpec::from_json(*raw, &base_error);
-    if (base) {
-      grid.base = *base;
-    } else {
-      report("base: " + base_error);
+    if (slot < 0) return r.unknown_key();
+    if (!r.claim(&seen, static_cast<unsigned>(slot))) return false;
+    hint = static_cast<std::size_t>(slot) + 1;
+    bool ok = true;
+    switch (slot) {
+      case 0: ok = r.u64(&grid.grid_seed); break;
+      case 1: ok = jsonu::read_uint(r, &grid.seeds_per_cell); break;
+      case 2: ok = ScenarioSpec::read_json(r, &grid.base); break;
+      case 3: ok = read_enum_axis(key, parse_alg, grid.algs); break;
+      case 4: ok = read_enum_axis(key, parse_detector, grid.detectors); break;
+      case 5: ok = read_enum_axis(key, parse_policy, grid.policies); break;
+      case 6: ok = read_enum_axis(key, parse_cm, grid.cms); break;
+      case 7: ok = read_enum_axis(key, parse_loss, grid.losses); break;
+      case 8: ok = read_enum_axis(key, parse_fault, grid.faults); break;
+      case 9: ok = read_uint_axis(grid.ns); break;
+      case 10: ok = read_uint_axis(grid.value_spaces); break;
+      case 11: ok = read_uint_axis(grid.csts); break;
+      case 12: ok = read_enum_axis(key, parse_topology, grid.topologies); break;
+      case 13: {
+        ok = r.begin_array();
+        grid.densities.clear();
+        while (ok && r.next_element()) {
+          double d = 0;
+          ok = r.f64(&d);
+          grid.densities.push_back(d);
+        }
+        ok = ok && r.ok();
+        break;
+      }
+      case 14: ok = read_enum_axis(key, parse_workload, grid.workloads); break;
+      default: {
+        // Names are validated by validate(), like every other axis value.
+        ok = r.begin_array();
+        grid.crash_schedules.clear();
+        std::string_view name;
+        while (ok && r.next_element()) {
+          ok = r.string(&name);
+          grid.crash_schedules.emplace_back(name);
+        }
+        ok = ok && r.ok();
+        break;
+      }
     }
+    if (!ok) return false;
   }
-  if (const std::string* raw = flat->find("grid_seed")) {
-    char* end = nullptr;
-    grid.grid_seed = std::strtoull(raw->c_str(), &end, 10);
-    if (!end || *end != '\0' || raw->empty() || (*raw)[0] == '-') {
-      report("bad value '" + *raw + "' for key 'grid_seed'");
-    }
-  }
-  if (const std::string* raw = flat->find("seeds_per_cell")) {
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(raw->c_str(), &end, 10);
-    if (!end || *end != '\0' || raw->empty() || (*raw)[0] == '-' ||
-        v > ~0u) {
-      report("bad value '" + *raw + "' for key 'seeds_per_cell'");
-    } else {
-      grid.seeds_per_cell = static_cast<std::uint32_t>(v);
-    }
-  }
-  read_enum_axis("algs", parse_alg, grid.algs);
-  read_enum_axis("detectors", parse_detector, grid.detectors);
-  read_enum_axis("policies", parse_policy, grid.policies);
-  read_enum_axis("cms", parse_cm, grid.cms);
-  read_enum_axis("losses", parse_loss, grid.losses);
-  read_enum_axis("faults", parse_fault, grid.faults);
-  read_uint_axis("ns", grid.ns);
-  read_uint_axis("value_spaces", grid.value_spaces);
-  read_uint_axis("csts", grid.csts);
-  read_enum_axis("topologies", parse_topology, grid.topologies);
-  if (const std::string* raw = flat->find("densities")) {
-    auto items = jsonu::parse_double_array(*raw);
-    if (items) {
-      grid.densities = *items;
-    } else {
-      report("axis 'densities' must be an array of numbers");
-    }
-  }
-  read_enum_axis("workloads", parse_workload, grid.workloads);
-  if (const std::string* raw = flat->find("crash_schedules")) {
-    auto items = jsonu::parse_array_items(*raw);
-    if (items) {
-      grid.crash_schedules = *items;  // names validated by validate()
-    } else {
-      report("axis 'crash_schedules' is not a JSON array");
-    }
-  }
-
-  if (!ok) return fail(first_error);
-  return grid;
+  if (!r.ok()) return false;
+  *out = std::move(grid);
+  return true;
 }
 
 std::uint64_t SweepGrid::fingerprint() const {

@@ -83,6 +83,9 @@ struct SweepGrid {
   std::string to_json() const;
   static std::optional<SweepGrid> from_json(const std::string& json,
                                             std::string* error = nullptr);
+  /// The grid object at `r`'s position (a shard spec's or report's
+  /// "grid" member); errors are keyed on `r`.
+  static bool read_json(jsonu::Reader& r, SweepGrid* out);
 
   /// FNV-1a over the canonical JSON: the shard-compatibility fingerprint.
   /// Two shard artifacts recombine only if their fingerprints agree --

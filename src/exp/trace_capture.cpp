@@ -1,6 +1,6 @@
 #include "exp/trace_capture.hpp"
 
-#include "util/flat_json.hpp"
+#include "util/json.hpp"
 
 namespace ccd::exp {
 

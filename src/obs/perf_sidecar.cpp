@@ -1,10 +1,10 @@
 #include "obs/perf_sidecar.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <iterator>
 #include <map>
 
-#include "util/flat_json.hpp"
+#include "util/json.hpp"
 #include "util/histogram.hpp"
 
 namespace ccd::obs {
@@ -37,30 +37,154 @@ std::optional<std::uint64_t> fp_from_hex(const std::string& s) {
   return fp;
 }
 
-bool parse_u64(const std::string& raw, std::uint64_t& out) {
-  if (raw.empty() || raw[0] == '-') return false;
-  char* end = nullptr;
-  out = std::strtoull(raw.c_str(), &end, 10);
-  return end && *end == '\0';
+/// One integer member of a sidecar object; `narrow` caps it at 32 bits.
+struct U64Field {
+  std::string_view key;
+  std::uint64_t* out;
+  bool narrow = false;
+};
+
+/// Reads an object whose members are exactly `fields` (all required) plus
+/// whatever `nested` claims: nested(key, &handled) reads a structured
+/// member and sets handled.  Unknown, duplicate and missing keys are keyed
+/// errors on `r`.
+template <typename Nested>
+bool read_u64_object(jsonu::Reader& r, const U64Field* fields, std::size_t n,
+                     Nested&& nested) {
+  if (!r.begin_object()) return false;
+  std::uint64_t seen = 0;
+  std::size_t hint = 0;
+  std::string_view key;
+  while (r.next_member(&key)) {
+    int slot = -1;
+    for (std::size_t k = 0; k < n && slot < 0; ++k) {
+      const std::size_t i = (hint + k) % n;  // in-order input: one compare
+      if (fields[i].key == key) slot = static_cast<int>(i);
+    }
+    if (slot < 0) {
+      bool handled = false;
+      if (!nested(key, &handled)) return false;
+      if (!handled) return r.unknown_key();
+      continue;
+    }
+    const U64Field& f = fields[slot];
+    if (!r.claim(&seen, static_cast<unsigned>(slot))) return false;
+    hint = static_cast<std::size_t>(slot) + 1;
+    if (f.narrow) {
+      std::uint32_t v = 0;
+      if (!jsonu::read_uint(r, &v)) return false;
+      *f.out = v;
+    } else if (!r.u64(f.out)) {
+      return false;
+    }
+  }
+  if (!r.ok()) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((seen & (std::uint64_t{1} << i)) == 0) {
+      return r.fail("missing key '" + std::string(fields[i].key) + "'" +
+                    r.where());
+    }
+  }
+  return true;
 }
 
-/// Fetch member `key` of `flat` as a u64 into `out`; keyed error otherwise.
-bool need_u64(const jsonu::FlatJson& flat, const char* key, std::uint64_t& out,
-              std::string* error, const char* where) {
-  const std::string* raw = flat.find(key);
-  if (!raw) {
-    if (error) {
-      *error = std::string(where) + " missing key '" + key + "'";
-    }
-    return false;
+bool read_u64_object(jsonu::Reader& r, const U64Field* fields,
+                     std::size_t n) {
+  return read_u64_object(r, fields, n, [](std::string_view, bool* handled) {
+    *handled = false;
+    return true;
+  });
+}
+
+/// Reads an array, one element per call of `element`.
+template <typename Element>
+bool read_array(jsonu::Reader& r, Element&& element) {
+  if (!r.begin_array()) return false;
+  while (r.next_element()) {
+    if (!element()) return false;
   }
-  if (!parse_u64(*raw, out)) {
-    if (error) {
-      *error = std::string("bad value '") + *raw + "' for key '" + key +
-               "' in " + where;
-    }
-    return false;
+  return r.ok();
+}
+
+bool read_counters(jsonu::Reader& r, EngineCounters& counters) {
+  constexpr std::size_t n = std::size(kEngineCounterFields);
+  U64Field fields[n];
+  for (std::size_t i = 0; i < n; ++i) {
+    fields[i] = {kEngineCounterFields[i].key,
+                 &(counters.*(kEngineCounterFields[i].member))};
   }
+  return read_u64_object(r, fields, n);
+}
+
+bool read_shard(jsonu::Reader& r, PerfShardExec& s) {
+  std::uint64_t threads = 0;
+  const U64Field fields[] = {{"shard_index", &s.shard_index},
+                             {"shard_count", &s.shard_count},
+                             {"wall_ns", &s.wall_ns},
+                             {"drain_ns", &s.drain_ns},
+                             {"threads", &threads, true},
+                             {"runs", &s.runs}};
+  bool have_workers = false;
+  auto workers = [&](std::string_view key, bool* handled) {
+    *handled = key == "workers";
+    if (!*handled) return true;
+    if (have_workers) return r.duplicate_key();
+    have_workers = true;
+    return read_array(r, [&] {
+      PerfWorker& w = s.workers.emplace_back();
+      std::uint64_t id = 0;
+      const U64Field wf[] = {{"worker", &id, true},
+                             {"busy_ns", &w.busy_ns},
+                             {"runs", &w.runs}};
+      if (!read_u64_object(r, wf, std::size(wf))) return false;
+      w.worker = static_cast<std::uint32_t>(id);
+      return true;
+    });
+  };
+  if (!read_u64_object(r, fields, std::size(fields), workers)) return false;
+  if (!have_workers) return r.fail("missing key 'workers'" + r.where());
+  s.threads = static_cast<std::uint32_t>(threads);
+  return true;
+}
+
+bool read_cell(jsonu::Reader& r, PerfCell& c) {
+  const U64Field fields[] = {{"cell", &c.cell_index}, {"runs", &c.runs},
+                             {"total_ns", &c.total_ns}, {"min_ns", &c.min_ns},
+                             {"max_ns", &c.max_ns},     {"p50_ns", &c.p50_ns},
+                             {"p95_ns", &c.p95_ns}};
+  return read_u64_object(r, fields, std::size(fields));
+}
+
+bool read_dispatch(jsonu::Reader& r, PerfDispatch& d) {
+  const U64Field fields[] = {{"workers", &d.workers},
+                             {"batches", &d.batches},
+                             {"steals", &d.steals},
+                             {"requeues", &d.requeues},
+                             {"worker_restarts", &d.worker_restarts},
+                             {"duplicate_cells", &d.duplicate_cells},
+                             {"wall_ns", &d.wall_ns}};
+  bool have_slots = false;
+  auto slots = [&](std::string_view key, bool* handled) {
+    *handled = key == "slots";
+    if (!*handled) return true;
+    if (have_slots) return r.duplicate_key();
+    have_slots = true;
+    return read_array(r, [&] {
+      PerfDispatchSlot& s = d.slots.emplace_back();
+      std::uint64_t id = 0;
+      const U64Field sf[] = {{"slot", &id, true},
+                             {"batches", &s.batches},
+                             {"cells", &s.cells},
+                             {"busy_ns", &s.busy_ns},
+                             {"busy_permille", &s.busy_permille},
+                             {"restarts", &s.restarts}};
+      if (!read_u64_object(r, sf, std::size(sf))) return false;
+      s.slot = static_cast<std::uint32_t>(id);
+      return true;
+    });
+  };
+  if (!read_u64_object(r, fields, std::size(fields), slots)) return false;
+  if (!have_slots) return r.fail("missing key 'slots'" + r.where());
   return true;
 }
 
@@ -75,21 +199,6 @@ void append_counters(std::string& out, const EngineCounters& counters) {
     out += "\":" + std::to_string(counters.*(f.member));
   }
   out += "}";
-}
-
-bool parse_counters(const std::string& raw, EngineCounters& counters,
-                    std::string* error) {
-  auto flat = jsonu::FlatJson::parse(raw);
-  if (!flat) {
-    if (error) *error = "'counters' is not a flat JSON object";
-    return false;
-  }
-  for (const EngineCounterField& f : kEngineCounterFields) {
-    std::uint64_t v = 0;
-    if (!need_u64(*flat, f.key, v, error, "'counters'")) return false;
-    counters.*(f.member) = v;
-  }
-  return true;
 }
 
 /// Nearest-rank percentile over a duration histogram; p in [0, 100].
@@ -175,143 +284,70 @@ std::string PerfSidecar::to_json() const {
 
 std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
                                                   std::string* error) {
-  auto fail = [&](const std::string& message) -> std::optional<PerfSidecar> {
-    if (error) *error = message;
-    return std::nullopt;
-  };
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) return fail("perf sidecar is not a flat JSON object");
-  const std::string* format = flat->find("format");
-  if (!format || *format != "ccd-perf-sidecar-v1") {
-    return fail(
-        "missing or unknown \"format\" (expected ccd-perf-sidecar-v1)");
-  }
-
+  constexpr std::string_view kFormat = "ccd-perf-sidecar-v1";
+  jsonu::Reader r(json);
   PerfSidecar sidecar;
-  const std::string* fp_raw = flat->find("grid_fingerprint");
-  if (!fp_raw) return fail("missing key 'grid_fingerprint'");
-  auto fp = fp_from_hex(*fp_raw);
-  if (!fp) {
-    return fail("bad value '" + *fp_raw + "' for key 'grid_fingerprint'");
-  }
-  sidecar.grid_fingerprint = *fp;
-  if (!need_u64(*flat, "runs", sidecar.runs, error, "perf sidecar")) {
-    return std::nullopt;
-  }
-  // Optional: sidecars written before the histogram-stats work lack it.
-  if (flat->find("stats_bytes_retained") &&
-      !need_u64(*flat, "stats_bytes_retained", sidecar.stats_bytes_retained,
-                error, "perf sidecar")) {
-    return std::nullopt;
-  }
-  const std::string* counters_raw = flat->find("counters");
-  if (!counters_raw) return fail("missing key 'counters'");
-  if (!parse_counters(*counters_raw, sidecar.counters, error)) {
-    return std::nullopt;
-  }
-
-  const std::string* shards_raw = flat->find("shards");
-  if (!shards_raw) return fail("missing key 'shards'");
-  auto shard_items = jsonu::parse_array_items(*shards_raw);
-  if (!shard_items) return fail("'shards' is not a JSON array");
-  for (std::size_t i = 0; i < shard_items->size(); ++i) {
-    const std::string where = "shards[" + std::to_string(i) + "]";
-    auto sf = jsonu::FlatJson::parse((*shard_items)[i]);
-    if (!sf) return fail(where + " is not a flat JSON object");
-    PerfShardExec s;
-    std::uint64_t threads = 0;
-    if (!need_u64(*sf, "shard_index", s.shard_index, error, where.c_str()) ||
-        !need_u64(*sf, "shard_count", s.shard_count, error, where.c_str()) ||
-        !need_u64(*sf, "wall_ns", s.wall_ns, error, where.c_str()) ||
-        !need_u64(*sf, "drain_ns", s.drain_ns, error, where.c_str()) ||
-        !need_u64(*sf, "threads", threads, error, where.c_str()) ||
-        !need_u64(*sf, "runs", s.runs, error, where.c_str())) {
-      return std::nullopt;
-    }
-    s.threads = static_cast<std::uint32_t>(threads);
-    const std::string* workers_raw = sf->find("workers");
-    if (!workers_raw) return fail(where + " missing key 'workers'");
-    auto worker_items = jsonu::parse_array_items(*workers_raw);
-    if (!worker_items) return fail(where + ".workers is not a JSON array");
-    for (std::size_t w = 0; w < worker_items->size(); ++w) {
-      const std::string wwhere = where + ".workers[" + std::to_string(w) + "]";
-      auto wf = jsonu::FlatJson::parse((*worker_items)[w]);
-      if (!wf) return fail(wwhere + " is not a flat JSON object");
-      PerfWorker pw;
-      std::uint64_t id = 0;
-      if (!need_u64(*wf, "worker", id, error, wwhere.c_str()) ||
-          !need_u64(*wf, "busy_ns", pw.busy_ns, error, wwhere.c_str()) ||
-          !need_u64(*wf, "runs", pw.runs, error, wwhere.c_str())) {
-        return std::nullopt;
+  // format, grid_fingerprint, runs, counters, shards and cells are
+  // required; stats_bytes_retained (older sidecars predate it) and
+  // dispatch (dispatcher-merged sidecars only) are optional.
+  static constexpr std::string_view kKeys[] = {
+      "format", "grid_fingerprint", "runs",  "counters",
+      "shards", "cells",            "stats_bytes_retained", "dispatch"};
+  constexpr std::uint64_t kRequired = 0x3f;
+  std::uint64_t seen = 0;
+  std::size_t hint = 0;
+  std::string_view key;
+  if (r.begin_object()) {
+    while (r.next_member(&key)) {
+      const int slot = jsonu::find_key(key, kKeys, std::size(kKeys), hint);
+      if (slot < 0) {
+        r.unknown_key();
+        break;
       }
-      pw.worker = static_cast<std::uint32_t>(id);
-      s.workers.push_back(pw);
-    }
-    sidecar.shards.push_back(std::move(s));
-  }
-
-  const std::string* cells_raw = flat->find("cells");
-  if (!cells_raw) return fail("missing key 'cells'");
-  auto cell_items = jsonu::parse_array_items(*cells_raw);
-  if (!cell_items) return fail("'cells' is not a JSON array");
-  for (std::size_t i = 0; i < cell_items->size(); ++i) {
-    const std::string where = "cells[" + std::to_string(i) + "]";
-    auto cf = jsonu::FlatJson::parse((*cell_items)[i]);
-    if (!cf) return fail(where + " is not a flat JSON object");
-    PerfCell c;
-    if (!need_u64(*cf, "cell", c.cell_index, error, where.c_str()) ||
-        !need_u64(*cf, "runs", c.runs, error, where.c_str()) ||
-        !need_u64(*cf, "total_ns", c.total_ns, error, where.c_str()) ||
-        !need_u64(*cf, "min_ns", c.min_ns, error, where.c_str()) ||
-        !need_u64(*cf, "max_ns", c.max_ns, error, where.c_str()) ||
-        !need_u64(*cf, "p50_ns", c.p50_ns, error, where.c_str()) ||
-        !need_u64(*cf, "p95_ns", c.p95_ns, error, where.c_str())) {
-      return std::nullopt;
-    }
-    sidecar.cells.push_back(c);
-  }
-
-  // Optional: only dispatcher-merged sidecars carry dispatch totals.
-  if (const std::string* dispatch_raw = flat->find("dispatch")) {
-    auto df = jsonu::FlatJson::parse(*dispatch_raw);
-    if (!df) return fail("'dispatch' is not a flat JSON object");
-    PerfDispatch d;
-    if (!need_u64(*df, "workers", d.workers, error, "'dispatch'") ||
-        !need_u64(*df, "batches", d.batches, error, "'dispatch'") ||
-        !need_u64(*df, "steals", d.steals, error, "'dispatch'") ||
-        !need_u64(*df, "requeues", d.requeues, error, "'dispatch'") ||
-        !need_u64(*df, "worker_restarts", d.worker_restarts, error,
-                  "'dispatch'") ||
-        !need_u64(*df, "duplicate_cells", d.duplicate_cells, error,
-                  "'dispatch'") ||
-        !need_u64(*df, "wall_ns", d.wall_ns, error, "'dispatch'")) {
-      return std::nullopt;
-    }
-    const std::string* slots_raw = df->find("slots");
-    if (!slots_raw) return fail("'dispatch' missing key 'slots'");
-    auto slot_items = jsonu::parse_array_items(*slots_raw);
-    if (!slot_items) return fail("'dispatch'.slots is not a JSON array");
-    for (std::size_t i = 0; i < slot_items->size(); ++i) {
-      const std::string where = "dispatch.slots[" + std::to_string(i) + "]";
-      auto sf = jsonu::FlatJson::parse((*slot_items)[i]);
-      if (!sf) return fail(where + " is not a flat JSON object");
-      PerfDispatchSlot s;
-      std::uint64_t slot_id = 0;
-      if (!need_u64(*sf, "slot", slot_id, error, where.c_str()) ||
-          !need_u64(*sf, "batches", s.batches, error, where.c_str()) ||
-          !need_u64(*sf, "cells", s.cells, error, where.c_str()) ||
-          !need_u64(*sf, "busy_ns", s.busy_ns, error, where.c_str()) ||
-          !need_u64(*sf, "busy_permille", s.busy_permille, error,
-                    where.c_str()) ||
-          !need_u64(*sf, "restarts", s.restarts, error, where.c_str())) {
-        return std::nullopt;
+      if (!r.claim(&seen, static_cast<unsigned>(slot))) break;
+      hint = static_cast<std::size_t>(slot) + 1;
+      bool ok = true;
+      switch (slot) {
+        case 0: ok = jsonu::read_format(r, kFormat); break;
+        case 1: {
+          std::string_view hex;
+          ok = r.string(&hex);
+          if (!ok) break;
+          auto fp = fp_from_hex(std::string(hex));
+          if (fp) {
+            sidecar.grid_fingerprint = *fp;
+          } else {
+            ok = r.reject(hex, "16 hex digits");
+          }
+          break;
+        }
+        case 2: ok = r.u64(&sidecar.runs); break;
+        case 3: ok = read_counters(r, sidecar.counters); break;
+        case 4:
+          ok = read_array(r, [&] {
+            return read_shard(r, sidecar.shards.emplace_back());
+          });
+          break;
+        case 5:
+          ok = read_array(r, [&] {
+            return read_cell(r, sidecar.cells.emplace_back());
+          });
+          break;
+        case 6: ok = r.u64(&sidecar.stats_bytes_retained); break;
+        default: ok = read_dispatch(r, sidecar.dispatch.emplace()); break;
       }
-      s.slot = static_cast<std::uint32_t>(slot_id);
-      d.slots.push_back(s);
+      if (!ok) break;
     }
-    sidecar.dispatch = std::move(d);
   }
-  return sidecar;
+  if (r.ok() && (seen & 1) == 0) jsonu::missing_format(r, kFormat);
+  for (std::size_t slot = 1; r.ok() && slot < 6; ++slot) {
+    if ((seen & kRequired & (std::uint64_t{1} << slot)) == 0) {
+      r.fail("missing key '" + std::string(kKeys[slot]) + "'");
+    }
+  }
+  if (r.ok() && r.end()) return sidecar;
+  if (error) *error = r.error();
+  return std::nullopt;
 }
 
 PerfSidecar build_perf_sidecar(std::uint64_t grid_fingerprint,

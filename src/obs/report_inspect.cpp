@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
 
-#include "util/flat_json.hpp"
+#include "util/json.hpp"
 #include "util/histogram.hpp"
 #include "util/stats.hpp"
 
@@ -25,18 +24,36 @@ bool set_error(std::string* error, const std::string& message) {
   return false;
 }
 
-bool parse_u64_text(const std::string& raw, std::uint64_t* out) {
-  if (raw.empty() || raw[0] == '-') return false;
-  char* end = nullptr;
-  *out = std::strtoull(raw.c_str(), &end, 10);
-  return end && *end == '\0';
+/// Members of the object at `r` as raw value views, for artifacts whose
+/// kind is only known once every member has been seen.  Duplicate keys are
+/// errors.
+using MemberViews = std::map<std::string, std::string_view, std::less<>>;
+
+bool read_member_views(jsonu::Reader& r, MemberViews* out) {
+  if (!r.begin_object()) return false;
+  std::string_view key;
+  while (r.next_member(&key)) {
+    std::string name(key);
+    std::string_view raw;
+    if (out->count(name)) return r.duplicate_key();
+    if (!r.raw(&raw)) return false;
+    out->emplace(std::move(name), raw);
+  }
+  return r.ok();
 }
 
-bool parse_double_text(const std::string& raw, double* out) {
-  if (raw.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(raw.c_str(), &end);
-  return end && *end == '\0';
+/// Display text of a raw value: a string's contents, anything else as is.
+std::string text_of(std::string_view raw) {
+  jsonu::Reader r(raw);
+  std::string_view s;
+  if (!raw.empty() && raw[0] == '"' && r.string(&s)) return std::string(s);
+  return std::string(raw);
+}
+
+const std::string_view* member(const MemberViews& members,
+                               std::string_view key) {
+  auto it = members.find(key);
+  return it == members.end() ? nullptr : &it->second;
 }
 
 std::string fmt4(double d) {
@@ -101,128 +118,138 @@ MetricView metric_from_stats(std::string name, Stats stats) {
   return m;
 }
 
-/// Parse a {"count":..,"min":..,...} summary object (aggregate reports).
-bool metric_from_summary(const std::string& name, const std::string& raw,
-                         MetricView* out, std::string* error) {
-  auto flat = jsonu::FlatJson::parse(raw);
-  if (!flat) {
-    return set_error(error, "metric '" + name + "' is not a JSON object");
-  }
-  out->name = name;
-  out->full = false;
-  const std::string* count_raw = flat->find("count");
-  if (!count_raw || !parse_u64_text(*count_raw, &out->count)) {
-    return set_error(error, "metric '" + name + "' missing valid 'count'");
-  }
+/// Read a {"count":..,"min":..,...} summary object (aggregate reports).
+bool read_summary(jsonu::Reader& r, const std::string& name, MetricView* out) {
   struct Field {
-    const char* key;
+    std::string_view key;
     double MetricView::* member;
   };
-  for (const Field& f : {Field{"min", &MetricView::min},
-                         Field{"mean", &MetricView::mean},
-                         Field{"p50", &MetricView::p50},
-                         Field{"p99", &MetricView::p99},
-                         Field{"max", &MetricView::max}}) {
-    const std::string* raw_v = flat->find(f.key);
-    if (!raw_v || !parse_double_text(*raw_v, &(out->*(f.member)))) {
-      return set_error(error, "metric '" + name + "' missing valid '" +
-                                  f.key + "'");
+  static constexpr Field kFields[] = {
+      {"min", &MetricView::min}, {"mean", &MetricView::mean},
+      {"p50", &MetricView::p50}, {"p99", &MetricView::p99},
+      {"max", &MetricView::max}};
+  out->name = name;
+  out->full = false;
+  unsigned seen = 0;
+  std::string_view key;
+  if (!r.begin_object()) return false;
+  while (r.next_member(&key)) {
+    bool ok = true;
+    if (key == "count") {
+      ok = r.u64(&out->count);
+      seen |= 1u << 5;
+    } else {
+      unsigned k = 0;
+      while (k < 5 && kFields[k].key != key) ++k;
+      ok = k < 5 ? r.f64(&(out->*(kFields[k].member))) : r.skip();
+      if (k < 5) seen |= 1u << k;
     }
+    if (!ok) return false;
+  }
+  if (!r.ok()) return false;
+  if (seen != 0x3f) {
+    return r.fail("metric '" + name + "' lacks one of count/min/mean/p50/"
+                  "p99/max" + r.where());
   }
   return true;
+}
+
+/// A counter member: an unsigned integer.
+bool read_counter(jsonu::Reader& r, const std::string& name, CellView* cell) {
+  return r.u64(&cell->counters[name]);
 }
 
 /// Hoist an aggregate report's nested stats block ("mh"/"sync") into
 /// prefixed counters and metrics.
-bool hoist_summary_block(const std::string& prefix, const std::string& raw,
-                         CellView* cell, std::string* error) {
-  auto flat = jsonu::FlatJson::parse(raw);
-  if (!flat) {
-    return set_error(error, "'" + prefix + "' is not a JSON object");
-  }
-  for (const auto& [key, value] : flat->members) {
-    const std::string name = prefix + "." + key;
-    if (value == "null") continue;  // empty stats
-    if (!value.empty() && value[0] == '{') {
-      MetricView m;
-      if (!metric_from_summary(name, value, &m, error)) return false;
-      cell->metrics.push_back(std::move(m));
-      continue;
+bool hoist_summary_block(jsonu::Reader& r, const std::string& prefix,
+                         CellView* cell) {
+  if (!r.begin_object()) return false;
+  std::string_view key;
+  while (r.next_member(&key)) {
+    const std::string name = prefix + "." + std::string(key);
+    if (r.null()) continue;  // empty stats
+    bool ok = true;
+    if (r.peek() == '{') {
+      ok = read_summary(r, name, &cell->metrics.emplace_back());
+    } else {
+      ok = read_counter(r, name, cell);
     }
-    std::uint64_t v = 0;
-    if (!parse_u64_text(value, &v)) {
-      return set_error(error, "bad value for '" + name + "'");
-    }
-    cell->counters[name] = v;
+    if (!ok) return false;
   }
+  return r.ok();
+}
+
+/// Deterministic metric order regardless of source member order.
+void sort_metrics(CellView* cell) {
+  std::sort(cell->metrics.begin(), cell->metrics.end(),
+            [](const MetricView& a, const MetricView& b) {
+              return a.name < b.name;
+            });
+}
+
+/// A full-distribution metric: one stats_to_json object.
+bool read_full_metric(jsonu::Reader& r, std::string name, CellView* cell) {
+  Stats stats;
+  if (!read_stats(r, &stats)) return false;
+  cell->metrics.push_back(metric_from_stats(std::move(name), std::move(stats)));
   return true;
 }
 
-bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
-                      ReportView* view, std::string* error) {
-  auto items = jsonu::parse_array_items(cells_raw);
-  if (!items) return set_error(error, "'cells' is not a JSON array");
-  for (std::size_t i = 0; i < items->size(); ++i) {
-    const std::string where = "cells[" + std::to_string(i) + "]";
-    auto flat = jsonu::FlatJson::parse((*items)[i]);
-    if (!flat) return set_error(error, where + " is not a JSON object");
+/// The cells array of any supported artifact; `member` reads one cell
+/// member (the index and spec are handled here).
+template <typename Member>
+bool read_cells(jsonu::Reader& r, ReportView* view, Member&& member_fn) {
+  if (!r.begin_array()) return false;
+  while (r.next_element()) {
     CellView cell;
-    const std::string* cell_raw = flat->find("cell");
-    if (!cell_raw || !parse_u64_text(*cell_raw, &cell.cell)) {
-      return set_error(error, where + " missing valid 'cell'");
+    bool have_index = false;
+    std::string_view key;
+    if (!r.begin_object()) return false;
+    while (r.next_member(&key)) {
+      bool ok = true;
+      if (key == "cell") {
+        ok = r.u64(&cell.cell);
+        have_index = true;
+      } else if (key == "spec") {
+        std::string_view raw;
+        ok = r.raw(&raw);
+        cell.spec = std::string(raw);
+      } else {
+        ok = member_fn(std::string(key), &cell);
+      }
+      if (!ok) return false;
     }
-    if (const std::string* spec = flat->find("spec")) cell.spec = *spec;
-    if (shard_layout) {
-      // Shard cell: every member other than the index is either a counter
-      // (plain integer) or a statistic (v2 {"h":..}/{"raw":..} object or a
-      // legacy v1 sample array).  Heartbeat keys ride along in
-      // checkpoints; they parse as counters, which is fine for display.
-      for (const auto& [key, value] : flat->members) {
-        if (key == "cell") continue;
-        if (!value.empty() && (value[0] == '{' || value[0] == '[')) {
-          Stats stats;
-          std::string stats_error;
-          if (!stats_from_json(value, &stats, &stats_error)) {
-            return set_error(error, where + "." + key + ": " + stats_error);
-          }
-          cell.metrics.push_back(metric_from_stats(key, std::move(stats)));
-          continue;
-        }
-        std::uint64_t v = 0;
-        if (!parse_u64_text(value, &v)) {
-          return set_error(error, where + ": bad value for '" + key + "'");
-        }
-        cell.counters[key] = v;
-      }
-    } else {
-      if (const std::string* runs = flat->find("runs")) {
-        std::uint64_t v = 0;
-        if (parse_u64_text(*runs, &v)) cell.counters["runs"] = v;
-      }
-      const std::string* metrics_raw = flat->find("metrics");
-      if (!metrics_raw) {
-        return set_error(error, where + " missing 'metrics'");
-      }
-      auto metrics = jsonu::FlatJson::parse(*metrics_raw);
-      if (!metrics) {
-        return set_error(error, where + ".metrics is not a JSON object");
-      }
-      for (const auto& [key, value] : metrics->members) {
-        Stats stats;
-        std::string stats_error;
-        if (!stats_from_json(value, &stats, &stats_error)) {
-          return set_error(error, where + ".metrics." + key + ": " +
-                                      stats_error);
-        }
-        cell.metrics.push_back(metric_from_stats(key, std::move(stats)));
-      }
-    }
-    // Deterministic metric order regardless of source member order.
-    std::sort(cell.metrics.begin(), cell.metrics.end(),
-              [](const MetricView& a, const MetricView& b) {
-                return a.name < b.name;
-              });
+    if (!r.ok()) return false;
+    if (!have_index) return r.fail("missing key 'cell'" + r.where());
+    sort_metrics(&cell);
     view->cells.push_back(std::move(cell));
+  }
+  return r.ok();
+}
+
+bool read_dist_cells(jsonu::Reader& r, ReportView* view) {
+  return read_cells(r, view, [&r](const std::string& key, CellView* cell) {
+    if (key == "runs") return read_counter(r, key, cell);
+    if (key != "metrics") return r.skip();
+    if (!r.begin_object()) return false;
+    std::string_view name;
+    while (r.next_member(&name)) {
+      if (!read_full_metric(r, std::string(name), cell)) return false;
+    }
+    return r.ok();
+  });
+}
+
+bool read_shard_cells(jsonu::Reader& r, ReportView* view) {
+  // Shard cell: every member other than the index is either a counter
+  // (plain integer) or a statistic ({"h":..}/{"raw":..} object).
+  // Heartbeat keys ride along in checkpoints; they read as counters,
+  // which is fine for display.
+  if (!read_cells(r, view, [&r](const std::string& key, CellView* cell) {
+        return r.peek() == '{' ? read_full_metric(r, key, cell)
+                               : read_counter(r, key, cell);
+      })) {
+    return false;
   }
   std::sort(view->cells.begin(), view->cells.end(),
             [](const CellView& a, const CellView& b) {
@@ -231,126 +258,80 @@ bool parse_dist_cells(const std::string& cells_raw, bool shard_layout,
   return true;
 }
 
-bool parse_aggregate_cells(const std::string& cells_raw, ReportView* view,
-                           std::string* error) {
-  auto items = jsonu::parse_array_items(cells_raw);
-  if (!items) return set_error(error, "'cells' is not a JSON array");
-  for (std::size_t i = 0; i < items->size(); ++i) {
-    const std::string where = "cells[" + std::to_string(i) + "]";
-    auto flat = jsonu::FlatJson::parse((*items)[i]);
-    if (!flat) return set_error(error, where + " is not a JSON object");
-    CellView cell;
-    const std::string* cell_raw = flat->find("cell");
-    if (!cell_raw || !parse_u64_text(*cell_raw, &cell.cell)) {
-      return set_error(error, where + " missing valid 'cell'");
+bool read_aggregate_cells(jsonu::Reader& r, ReportView* view) {
+  return read_cells(r, view, [&r](const std::string& key, CellView* cell) {
+    if (key == "mh" || key == "sync") return hoist_summary_block(r, key, cell);
+    if (r.null()) return true;  // empty stats
+    if (r.peek() == '{') {
+      return read_summary(r, key, &cell->metrics.emplace_back());
     }
-    for (const auto& [key, value] : flat->members) {
-      if (key == "cell") continue;
-      if (key == "spec") {
-        cell.spec = value;
-        continue;
-      }
-      if (key == "mh" || key == "sync") {
-        if (!hoist_summary_block(key, value, &cell, error)) return false;
-        continue;
-      }
-      if (value == "null") continue;  // empty stats
-      if (!value.empty() && value[0] == '{') {
-        MetricView m;
-        if (!metric_from_summary(key, value, &m, error)) return false;
-        cell.metrics.push_back(std::move(m));
-        continue;
-      }
-      std::uint64_t v = 0;
-      if (!parse_u64_text(value, &v)) {
-        return set_error(error, where + ": bad value for '" + key + "'");
-      }
-      cell.counters[key] = v;
-    }
-    std::sort(cell.metrics.begin(), cell.metrics.end(),
-              [](const MetricView& a, const MetricView& b) {
-                return a.name < b.name;
-              });
-    view->cells.push_back(std::move(cell));
-  }
-  return true;
+    return read_counter(r, key, cell);
+  });
 }
 
-bool parse_sidecar_cells(const std::string& cells_raw, ReportView* view,
-                         std::string* error) {
-  auto items = jsonu::parse_array_items(cells_raw);
-  if (!items) return set_error(error, "'cells' is not a JSON array");
-  for (std::size_t i = 0; i < items->size(); ++i) {
-    const std::string where = "cells[" + std::to_string(i) + "]";
-    auto flat = jsonu::FlatJson::parse((*items)[i]);
-    if (!flat) return set_error(error, where + " is not a JSON object");
-    CellView cell;
-    const std::string* cell_raw = flat->find("cell");
-    if (!cell_raw || !parse_u64_text(*cell_raw, &cell.cell)) {
-      return set_error(error, where + " missing valid 'cell'");
-    }
-    for (const auto& [key, value] : flat->members) {
-      if (key == "cell") continue;
-      std::uint64_t v = 0;
-      if (!parse_u64_text(value, &v)) {
-        return set_error(error, where + ": bad value for '" + key + "'");
-      }
-      cell.counters[key] = v;
-    }
-    view->cells.push_back(std::move(cell));
-  }
-  return true;
+bool read_sidecar_cells(jsonu::Reader& r, ReportView* view) {
+  return read_cells(r, view, [&r](const std::string& key, CellView* cell) {
+    return read_counter(r, key, cell);
+  });
 }
 
 /// Parse any supported report artifact into the unified view.
 bool parse_report(const std::string& json, ReportView* view,
                   std::string* error) {
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) {
+  jsonu::Reader r(json);
+  MemberViews members;
+  if (!read_member_views(r, &members) || !r.end()) {
     return set_error(error, "input is not a JSON object (report, shard "
-                            "report, dist, or perf sidecar expected)");
+                            "report, dist, or perf sidecar expected): " +
+                                r.error());
   }
-  const std::string* format = flat->find("format");
+  const std::string_view* format = member(members, "format");
   const std::string kind =
-      format ? *format
-             : (flat->find("grid_seed") && flat->find("cells")
+      format ? text_of(*format)
+             : (member(members, "grid_seed") && member(members, "cells")
                     ? std::string("aggregate")
                     : std::string());
   for (const char* key :
        {"grid_fingerprint", "grid_seed", "seeds_per_cell", "num_cells",
         "num_runs", "shard_index", "shard_count"}) {
-    if (const std::string* v = flat->find(key)) view->header[key] = *v;
+    if (const std::string_view* v = member(members, key)) {
+      view->header[key] = text_of(*v);
+    }
   }
-  const std::string* cells_raw = flat->find("cells");
+  const std::string_view* cells_raw = member(members, "cells");
   if (!cells_raw) return set_error(error, "missing 'cells'");
 
+  jsonu::Reader cells(*cells_raw);
+  bool ok = false;
   if (kind == "ccd-dist-v1") {
     view->kind = "dist";
-    return parse_dist_cells(*cells_raw, /*shard_layout=*/false, view, error);
-  }
-  if (kind == "ccd-shard-report-v1" || kind == "ccd-shard-report-v2") {
+    ok = read_dist_cells(cells, view);
+  } else if (kind == "ccd-shard-report-v2") {
     view->kind = "shard";
-    return parse_dist_cells(*cells_raw, /*shard_layout=*/true, view, error);
-  }
-  if (kind == "aggregate") {
+    ok = read_shard_cells(cells, view);
+  } else if (kind == "aggregate") {
     view->kind = "report";
-    return parse_aggregate_cells(*cells_raw, view, error);
-  }
-  if (kind == "ccd-perf-sidecar-v1") {
+    ok = read_aggregate_cells(cells, view);
+  } else if (kind == "ccd-perf-sidecar-v1") {
     view->kind = "sidecar";
     for (const char* key : {"runs", "stats_bytes_retained"}) {
-      if (const std::string* v = flat->find(key)) {
-        std::uint64_t n = 0;
-        if (parse_u64_text(*v, &n)) view->totals[key] = n;
+      if (const std::string_view* v = member(members, key)) {
+        jsonu::Reader n(*v);
+        if (n.u64(&view->totals[key]) && n.end()) continue;
+        return set_error(error, std::string("bad value for '") + key + "': " +
+                                    n.error());
       }
     }
-    return parse_sidecar_cells(*cells_raw, view, error);
+    ok = read_sidecar_cells(cells, view);
+  } else {
+    return set_error(error,
+                     "unrecognized artifact" +
+                         (format ? " format '" + kind + "'"
+                                 : std::string(" (no 'format' member and not "
+                                               "an aggregate report)")));
   }
-  return set_error(error,
-                   "unrecognized artifact" +
-                       (format ? " format '" + *format + "'"
-                               : std::string(" (no 'format' member and not "
-                                             "an aggregate report)")));
+  if (!ok) return set_error(error, "cells: " + cells.error());
+  return true;
 }
 
 // ---- rendering -------------------------------------------------------------
@@ -575,108 +556,157 @@ struct TraceDoc {
   std::vector<TraceRun> runs;
 };
 
+bool read_trace_round(jsonu::Reader& r, TraceRound* round) {
+  std::string_view key, raw;
+  if (!r.begin_object()) return false;
+  while (r.next_member(&key)) {
+    bool ok = true;
+    if (key == "round") {
+      ok = r.u64(&round->round);
+    } else if (key == "cd" || key == "cm") {
+      ok = r.string(&raw);
+      (key == "cd" ? round->cd : round->cm) = std::string(raw);
+    } else if (key == "broadcasters" || key == "receive_counts" ||
+               key == "views") {
+      ok = r.raw(&raw);
+      (key == "broadcasters"     ? round->broadcasters
+       : key == "receive_counts" ? round->receive_counts
+                                 : round->views) = std::string(raw);
+    } else {
+      ok = r.skip();
+    }
+    if (!ok) return false;
+  }
+  return r.ok();
+}
+
+bool read_trace_log(jsonu::Reader& r, TraceRun* run) {
+  std::string_view key, raw;
+  bool have_rounds = false;
+  if (!r.begin_object()) return false;
+  while (r.next_member(&key)) {
+    bool ok = true;
+    if (key == "decisions" || key == "crashes") {
+      ok = r.raw(&raw);
+      (key == "decisions" ? run->decisions : run->crashes) = std::string(raw);
+    } else if (key == "rounds") {
+      have_rounds = true;
+      ok = r.begin_array();
+      while (ok && r.next_element()) {
+        ok = read_trace_round(r, &run->rounds.emplace_back());
+      }
+      ok = ok && r.ok();
+    } else {
+      ok = r.skip();
+    }
+    if (!ok) return false;
+  }
+  if (!r.ok()) return false;
+  return have_rounds || r.fail("missing key 'rounds'" + r.where());
+}
+
+bool read_trace_run(jsonu::Reader& r, TraceRun* run) {
+  std::string_view key, raw;
+  if (!r.begin_object()) return false;
+  while (r.next_member(&key)) {
+    bool ok = true;
+    if (key == "run_index") {
+      ok = r.u64(&run->run_index);
+    } else if (key == "seed") {
+      ok = r.u64(&run->seed);
+    } else if (key == "solved") {
+      ok = r.raw(&raw);
+      run->solved = std::string(raw);
+    } else if (key == "log") {
+      run->has_log = true;
+      ok = read_trace_log(r, run);
+    } else {
+      ok = r.skip();
+    }
+    if (!ok) return false;
+  }
+  return r.ok();
+}
+
 bool parse_trace(const std::string& json, const char* label, TraceDoc* doc,
                  std::string* error) {
-  auto flat = jsonu::FlatJson::parse(json);
-  if (!flat) {
-    return set_error(error, std::string(label) + ": not a JSON object");
-  }
-  const std::string* format = flat->find("format");
-  if (!format || *format != "ccd-cell-trace-v1") {
-    return set_error(error, std::string(label) +
-                                ": expected format ccd-cell-trace-v1 (a "
-                                "ccd_sweep --rerun-cell dump)");
-  }
-  if (const std::string* cell = flat->find("cell")) {
-    parse_u64_text(*cell, &doc->cell);
-  }
-  const std::string* runs_raw = flat->find("runs");
-  if (!runs_raw) return set_error(error, std::string(label) + ": no 'runs'");
-  auto items = jsonu::parse_array_items(*runs_raw);
-  if (!items) {
-    return set_error(error, std::string(label) + ": 'runs' is not an array");
-  }
-  for (std::size_t i = 0; i < items->size(); ++i) {
-    const std::string where =
-        std::string(label) + ".runs[" + std::to_string(i) + "]";
-    auto rf = jsonu::FlatJson::parse((*items)[i]);
-    if (!rf) return set_error(error, where + " is not a JSON object");
-    TraceRun run;
-    if (const std::string* v = rf->find("run_index")) {
-      parse_u64_text(*v, &run.run_index);
-    }
-    if (const std::string* v = rf->find("seed")) {
-      parse_u64_text(*v, &run.seed);
-    }
-    if (const std::string* v = rf->find("solved")) run.solved = *v;
-    if (const std::string* log_raw = rf->find("log")) {
-      run.has_log = true;
-      auto lf = jsonu::FlatJson::parse(*log_raw);
-      if (!lf) return set_error(error, where + ".log is not a JSON object");
-      if (const std::string* v = lf->find("decisions")) run.decisions = *v;
-      if (const std::string* v = lf->find("crashes")) run.crashes = *v;
-      const std::string* rounds_raw = lf->find("rounds");
-      if (!rounds_raw) {
-        return set_error(error, where + ".log missing 'rounds'");
+  constexpr std::string_view kFormat = "ccd-cell-trace-v1";
+  jsonu::Reader r(json);
+  bool have_format = false, have_runs = false;
+  std::string_view key;
+  if (r.begin_object()) {
+    while (r.next_member(&key)) {
+      bool ok = true;
+      if (key == "format") {
+        have_format = true;
+        ok = jsonu::read_format(r, kFormat);
+      } else if (key == "cell") {
+        ok = r.u64(&doc->cell);
+      } else if (key == "runs") {
+        have_runs = true;
+        ok = r.begin_array();
+        while (ok && r.next_element()) {
+          ok = read_trace_run(r, &doc->runs.emplace_back());
+        }
+        ok = ok && r.ok();
+      } else {
+        ok = r.skip();
       }
-      auto round_items = jsonu::parse_array_items(*rounds_raw);
-      if (!round_items) {
-        return set_error(error, where + ".log.rounds is not an array");
-      }
-      for (const std::string& round_raw : *round_items) {
-        auto rr = jsonu::FlatJson::parse(round_raw);
-        if (!rr) {
-          return set_error(error, where + ".log.rounds element is not an "
-                                          "object");
-        }
-        TraceRound round;
-        if (const std::string* v = rr->find("round")) {
-          parse_u64_text(*v, &round.round);
-        }
-        if (const std::string* v = rr->find("broadcasters")) {
-          round.broadcasters = *v;
-        }
-        if (const std::string* v = rr->find("receive_counts")) {
-          round.receive_counts = *v;
-        }
-        if (const std::string* v = rr->find("cd")) round.cd = *v;
-        if (const std::string* v = rr->find("cm")) round.cm = *v;
-        if (const std::string* v = rr->find("views")) round.views = *v;
-        run.rounds.push_back(std::move(round));
-      }
+      if (!ok) break;
     }
-    doc->runs.push_back(std::move(run));
   }
-  return true;
+  if (r.ok() && !have_format) jsonu::missing_format(r, kFormat);
+  if (r.ok() && !have_runs) r.fail("missing key 'runs'");
+  if (r.ok() && r.end()) return true;
+  return set_error(error, std::string(label) + ": " + r.error() +
+                              " (a ccd_sweep --rerun-cell dump expected)");
+}
+
+/// Raw texts of an array's elements; false when `raw` is not an array.
+bool array_items(std::string_view raw, std::vector<std::string_view>* items) {
+  jsonu::Reader r(raw);
+  std::string_view item;
+  if (!r.begin_array()) return false;
+  while (r.next_element()) {
+    if (!r.raw(&item)) return false;
+    items->push_back(item);
+  }
+  return r.ok() && r.end();
 }
 
 /// "p2=v1@r5, p0=v1@r6" rendering of a decisions/crashes array.
 std::string render_events(const std::string& raw) {
-  auto items = jsonu::parse_array_items(raw);
-  if (!items) return raw;
-  if (items->empty()) return "(none)";
+  std::vector<std::string_view> items;
+  if (!array_items(raw, &items)) return raw;
+  if (items.empty()) return "(none)";
   std::string out;
-  for (const std::string& item : *items) {
-    auto flat = jsonu::FlatJson::parse(item);
-    if (!flat) return raw;
+  for (std::string_view item : items) {
+    jsonu::Reader r(item);
+    MemberViews fields;
+    if (!read_member_views(r, &fields)) return raw;
     if (!out.empty()) out += ", ";
-    if (const std::string* p = flat->find("process")) out += "p" + *p;
-    if (const std::string* v = flat->find("value")) out += "=v" + *v;
-    if (const std::string* r = flat->find("round")) out += "@r" + *r;
+    if (const std::string_view* p = member(fields, "process")) {
+      out += "p" + text_of(*p);
+    }
+    if (const std::string_view* v = member(fields, "value")) {
+      out += "=v" + text_of(*v);
+    }
+    if (const std::string_view* r2 = member(fields, "round")) {
+      out += "@r" + text_of(*r2);
+    }
   }
   return out;
 }
 
 /// First process whose per-round view differs; -1 when equal or opaque.
 int first_view_divergence(const std::string& a, const std::string& b) {
-  auto av = jsonu::parse_array_items(a);
-  auto bv = jsonu::parse_array_items(b);
-  if (!av || !bv) return -1;
-  const std::size_t n = std::min(av->size(), bv->size());
+  std::vector<std::string_view> av, bv;
+  if (!array_items(a, &av) || !array_items(b, &bv)) return -1;
+  const std::size_t n = std::min(av.size(), bv.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if ((*av)[i] != (*bv)[i]) return static_cast<int>(i);
+    if (av[i] != bv[i]) return static_cast<int>(i);
   }
-  if (av->size() != bv->size()) return static_cast<int>(n);
+  if (av.size() != bv.size()) return static_cast<int>(n);
   return -1;
 }
 
@@ -941,93 +971,102 @@ struct BenchEntry {
   std::set<std::string> gated;  ///< metrics the regression gate applies to
 };
 
-bool parse_bench_object(const std::string& raw,
+/// Numeric member `key` of `fields` into *out; keyed error otherwise.
+bool bench_number(const MemberViews& fields, const char* what,
+                  const char* key, double* out, std::string* error) {
+  const std::string_view* raw = member(fields, key);
+  if (raw) {
+    jsonu::Reader r(*raw);
+    if (r.f64(out) && r.end()) return true;
+  }
+  return set_error(error, std::string(what) + " missing '" + key + "'");
+}
+
+bool parse_bench_object(jsonu::Reader& r,
                         std::map<std::string, BenchEntry>* entries,
                         std::string* error) {
-  auto flat = jsonu::FlatJson::parse(raw);
-  if (!flat) return set_error(error, "bench artifact is not a JSON object");
-  const std::string* format = flat->find("format");
-  if (!format || *format != "ccd-bench-v1") {
+  MemberViews fields;
+  if (!read_member_views(r, &fields)) {
+    return set_error(error, "bench artifact is not a JSON object: " +
+                                r.error());
+  }
+  const std::string_view* format = member(fields, "format");
+  if (!format || text_of(*format) != "ccd-bench-v1") {
     return set_error(error, "expected format ccd-bench-v1");
   }
-  const std::string* bench = flat->find("bench");
-  if (!bench) return set_error(error, "missing 'bench'");
-  if (*bench == "sweep_throughput") {
-    const std::string* grid = flat->find("grid");
+  const std::string_view* bench_raw = member(fields, "bench");
+  if (!bench_raw) return set_error(error, "missing 'bench'");
+  const std::string bench = text_of(*bench_raw);
+  if (bench == "sweep_throughput") {
+    const std::string_view* grid = member(fields, "grid");
     if (!grid) return set_error(error, "sweep_throughput missing 'grid'");
     BenchEntry entry;
     for (const char* key : {"runs_per_sec", "rounds_per_sec"}) {
-      const std::string* v = flat->find(key);
-      double value = 0;
-      if (!v || !parse_double_text(*v, &value)) {
-        return set_error(error,
-                         std::string("sweep_throughput missing '") + key +
-                             "'");
+      if (!bench_number(fields, "sweep_throughput", key, &entry.metrics[key],
+                        error)) {
+        return false;
       }
-      entry.metrics[key] = value;
       entry.gated.insert(key);
     }
-    (*entries)["sweep:" + *grid] = std::move(entry);
+    (*entries)["sweep:" + text_of(*grid)] = std::move(entry);
     return true;
   }
-  if (*bench == "engine_lanes") {
-    const std::string* items_raw = flat->find("entries");
+  if (bench == "engine_lanes") {
+    const std::string_view* items_raw = member(fields, "entries");
     if (!items_raw) return set_error(error, "engine_lanes missing 'entries'");
-    auto items = jsonu::parse_array_items(*items_raw);
-    if (!items) return set_error(error, "'entries' is not a JSON array");
-    for (const std::string& item : *items) {
-      auto ef = jsonu::FlatJson::parse(item);
-      if (!ef) {
+    std::vector<std::string_view> items;
+    if (!array_items(*items_raw, &items)) {
+      return set_error(error, "'entries' is not a JSON array");
+    }
+    for (std::string_view item : items) {
+      jsonu::Reader er(item);
+      MemberViews ef;
+      if (!read_member_views(er, &ef)) {
         return set_error(error, "engine_lanes entry is not a JSON object");
       }
-      const std::string* config = ef->find("config");
-      const std::string* n = ef->find("n");
+      const std::string_view* config = member(ef, "config");
+      const std::string_view* n = member(ef, "n");
       if (!config || !n) {
         return set_error(error, "engine_lanes entry missing config/n");
       }
       BenchEntry entry;
       for (const char* key :
            {"scalar_rounds_per_sec", "lane_rounds_per_sec", "speedup"}) {
-        const std::string* v = ef->find(key);
-        double value = 0;
-        if (!v || !parse_double_text(*v, &value)) {
-          return set_error(error,
-                           std::string("engine_lanes entry missing '") +
-                               key + "'");
+        if (!bench_number(ef, "engine_lanes entry", key, &entry.metrics[key],
+                          error)) {
+          return false;
         }
-        entry.metrics[key] = value;
       }
       // Absolute rates are machine physics; the scalar-vs-lane speedup is
       // machine-relative and is what the gate watches.
       entry.gated.insert("speedup");
-      (*entries)["lanes:" + *config + "/n" + *n] = std::move(entry);
+      (*entries)["lanes:" + text_of(*config) + "/n" + text_of(*n)] =
+          std::move(entry);
     }
     return true;
   }
-  if (*bench == "dispatch_steal") {
-    const std::string* grid = flat->find("grid");
-    const std::string* workers = flat->find("workers");
+  if (bench == "dispatch_steal") {
+    const std::string_view* grid = member(fields, "grid");
+    const std::string_view* workers = member(fields, "workers");
     if (!grid || !workers) {
       return set_error(error, "dispatch_steal missing 'grid'/'workers'");
     }
     BenchEntry entry;
     for (const char* key :
          {"static_wall_ns", "dynamic_wall_ns", "speedup", "steals"}) {
-      const std::string* v = flat->find(key);
-      double value = 0;
-      if (!v || !parse_double_text(*v, &value)) {
-        return set_error(error,
-                         std::string("dispatch_steal missing '") + key + "'");
+      if (!bench_number(fields, "dispatch_steal", key, &entry.metrics[key],
+                        error)) {
+        return false;
       }
-      entry.metrics[key] = value;
     }
     // Absolute walls are machine physics; the dynamic-vs-static speedup is
     // machine-relative and is what the gate watches.
     entry.gated.insert("speedup");
-    (*entries)["dispatch:" + *grid + "/w" + *workers] = std::move(entry);
+    (*entries)["dispatch:" + text_of(*grid) + "/w" + text_of(*workers)] =
+        std::move(entry);
     return true;
   }
-  return set_error(error, "unknown bench kind '" + *bench + "'");
+  return set_error(error, "unknown bench kind '" + bench + "'");
 }
 
 /// A bench artifact is a single ccd-bench-v1 object or a JSON array of
@@ -1035,21 +1074,23 @@ bool parse_bench_object(const std::string& raw,
 bool parse_bench_file(const std::string& json,
                       std::map<std::string, BenchEntry>* entries,
                       std::string* error) {
-  const std::size_t start = json.find_first_not_of(" \t\r\n");
-  if (start == std::string::npos) {
-    return set_error(error, "empty bench artifact");
-  }
-  if (json[start] == '[') {
-    auto items = jsonu::parse_array_items(json.substr(start));
-    if (!items) {
-      return set_error(error, "bench artifact array is malformed");
+  jsonu::Reader r(json);
+  const char first = r.peek();
+  if (first == '\0') return set_error(error, "empty bench artifact");
+  if (first == '[') {
+    if (!r.begin_array()) return set_error(error, r.error());
+    while (r.next_element()) {
+      if (!parse_bench_object(r, entries, error)) return false;
     }
-    for (const std::string& item : *items) {
-      if (!parse_bench_object(item, entries, error)) return false;
+    if (!r.ok() || !r.end()) {
+      return set_error(error, "bench artifact array is malformed: " +
+                                  r.error());
     }
     return true;
   }
-  return parse_bench_object(json.substr(start), entries, error);
+  if (!parse_bench_object(r, entries, error)) return false;
+  if (!r.end()) return set_error(error, r.error());
+  return true;
 }
 
 }  // namespace

@@ -1,69 +1,6 @@
-// Minimal JSON machinery shared by the exp/ serialization code
-// (ScenarioSpec, SweepGrid, shard specs and shard reports) and the obs/
-// perf sidecars.  Lives in util/ -- the bottom of the layer DAG -- so
-// obs/ can parse/emit sidecars without an include edge into exp/.
-//
-// This is NOT a general JSON library: it accepts exactly the shapes our
-// own writers emit -- one object of string / number members plus
-// bracket-balanced array members and brace-balanced object members
-// captured as raw text for the caller to re-parse.  Keeping the scanner
-// tiny beats pulling in a JSON dependency the container may not have.
+// Former name of util/json.hpp, kept as a forwarding header for includers
+// outside the library (the repo benchmark under perfbench/ includes it for
+// jsonu::format_double).  New code includes util/json.hpp.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <optional>
-#include <string>
-#include <vector>
-
-namespace ccd::jsonu {
-
-/// Shortest %g form that strtod parses back to the same double: try
-/// increasing precision until the round trip is exact.  Keeps emitted JSON
-/// both readable ("0.5", not "0.50000000000000000") and lossless -- the
-/// byte-identical merge guarantee leans on this exactness.
-std::string format_double(double d);
-
-/// Advance `i` past a double-quoted JSON string (`i` must point at the
-/// opening quote, escapes are honoured); false on unterminated input.
-bool skip_quoted(const std::string& text, std::size_t& i);
-
-/// One flat JSON object.  String members are unescaped; array members are
-/// captured as raw bracket-balanced text (including the brackets); object
-/// members as raw brace-balanced text (including the braces).  Trailing
-/// content after the object is rejected: a concatenated or corrupted
-/// record must not silently half-parse.
-struct FlatJson {
-  std::map<std::string, std::string> members;  // raw value text (unquoted)
-
-  static std::optional<FlatJson> parse(const std::string& text);
-
-  const std::string* find(const char* key) const {
-    auto it = members.find(key);
-    return it == members.end() ? nullptr : &it->second;
-  }
-};
-
-/// Parse the raw text of an array member into element raw texts: strings
-/// are unescaped, numbers kept verbatim, nested objects/arrays captured
-/// balanced.  nullopt on malformed input (including trailing junk).
-std::optional<std::vector<std::string>> parse_array_items(
-    const std::string& raw);
-
-/// Array of unquoted numbers -> doubles; nullopt if any element is not a
-/// number.
-std::optional<std::vector<double>> parse_double_array(const std::string& raw);
-
-/// Array of unquoted non-negative integers; nullopt on anything else.
-std::optional<std::vector<std::uint64_t>> parse_u64_array(
-    const std::string& raw);
-
-/// Append `[a,b,...]` rendering doubles via format_double.
-void append_double_array(std::string& out, const std::vector<double>& xs);
-
-/// JSON string escaping for the few places we emit caller-supplied text
-/// (file paths never go through here; schedule names and enum tokens are
-/// already escape-free, but defend anyway).
-std::string quote(const std::string& s);
-
-}  // namespace ccd::jsonu
+#include "util/json.hpp"

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 
-#include "util/flat_json.hpp"
+#include "util/json.hpp"
 
 namespace ccd {
 namespace {
@@ -221,68 +219,93 @@ std::string stats_to_json(const Stats& s) {
 
 namespace {
 
-bool parse_i64(const std::string& text, std::int64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
+constexpr std::uint64_t kMaxExactKey = std::uint64_t{1} << 53;
+
+bool read_histogram(jsonu::Reader& r, Stats* into) {
+  if (!r.begin_array()) return false;
+  std::int64_t prev = 0;
+  std::uint64_t total = 0;
+  bool first = true;
+  while (r.next_element()) {
+    std::int64_t key = 0;
+    std::uint64_t count = 0;
+    if (!r.i64(&key)) return false;
+    if (key > static_cast<std::int64_t>(kMaxExactKey) ||
+        key < -static_cast<std::int64_t>(kMaxExactKey)) {
+      return r.fail("histogram key " + std::to_string(key) +
+                    " outside the exact-integer window" + r.where());
+    }
+    if (!first && key <= prev) {
+      return r.fail("histogram keys not strictly ascending (" +
+                    std::to_string(prev) + " then " + std::to_string(key) +
+                    ")" + r.where());
+    }
+    if (!r.next_element()) {
+      return r.ok() ? r.fail("histogram key " + std::to_string(key) +
+                             " has no count" + r.where())
+                    : false;
+    }
+    if (!r.u64(&count)) return false;
+    if (count == 0 || total + count < total) {
+      return r.fail("bad count " + std::to_string(count) + " for key " +
+                    std::to_string(key) + r.where());
+    }
+    total += count;
+    into->add_bin(key, count);
+    prev = key;
+    first = false;
+  }
+  return r.ok();
 }
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool fail(std::string* error, const char* what) {
-  if (error) *error = what;
-  return false;
+bool read_raw_samples(jsonu::Reader& r, Stats* into) {
+  if (!r.begin_array()) return false;
+  while (r.next_element()) {
+    double x = 0;
+    std::string_view token;
+    if (!r.f64(&x, &token)) return false;
+    if (!jsonu::is_canonical_double(token, x)) {
+      return r.fail("sample '" + std::string(token) +
+                    "' is not in shortest round-trip form (expected " +
+                    jsonu::format_double(x) + ")" + r.where());
+    }
+    into->add(x);
+  }
+  return r.ok();
 }
 
 }  // namespace
 
+bool read_stats(jsonu::Reader& r, Stats* into) {
+  if (!r.begin_object()) return false;
+  std::uint64_t seen = 0;
+  std::string_view key;
+  while (r.next_member(&key)) {
+    const bool hist = key == "h";
+    if (!hist && key != "raw") return r.unknown_key("h or raw");
+    if (!r.claim(&seen, hist ? 0 : 1)) return false;
+    if (seen == 3) {
+      return r.fail("stats object has both 'h' and 'raw'" + r.where());
+    }
+    const Stats::Mode mode =
+        hist ? Stats::Mode::kExactHistogram : Stats::Mode::kRawSamples;
+    if (!into->empty() || into->mode() != mode) *into = Stats(mode);
+    if (!(hist ? read_histogram(r, into) : read_raw_samples(r, into))) {
+      return false;
+    }
+  }
+  if (!r.ok()) return false;
+  if (seen == 0) {
+    return r.fail("stats object has no 'h' or 'raw' member" + r.where());
+  }
+  return true;
+}
+
 bool stats_from_json(std::string_view raw, Stats* into, std::string* error) {
-  std::size_t start = raw.find_first_not_of(" \t\r\n");
-  if (start == std::string_view::npos) return fail(error, "stats: empty");
-  const std::string text(raw.substr(start));
-  if (text[0] == '[') {
-    // Legacy shard-v1 encoding: bare sample array, replayed via add() in
-    // serialized (= insertion) order.
-    auto xs = jsonu::parse_double_array(text);
-    if (!xs) return fail(error, "stats: bad legacy sample array");
-    for (double x : *xs) into->add(x);
-    return true;
-  }
-  auto obj = jsonu::FlatJson::parse(text);
-  if (!obj) return fail(error, "stats: not an object or array");
-  if (const std::string* h = obj->find("h")) {
-    auto items = jsonu::parse_array_items(*h);
-    if (!items || items->size() % 2 != 0) {
-      return fail(error, "stats: bad histogram array");
-    }
-    for (std::size_t i = 0; i < items->size(); i += 2) {
-      std::int64_t key = 0;
-      std::uint64_t cnt = 0;
-      if (!parse_i64((*items)[i], &key) || !parse_u64((*items)[i + 1], &cnt)) {
-        return fail(error, "stats: bad histogram bin");
-      }
-      into->add_bin(key, cnt);
-    }
-    return true;
-  }
-  if (const std::string* r = obj->find("raw")) {
-    auto xs = jsonu::parse_double_array(*r);
-    if (!xs) return fail(error, "stats: bad raw sample array");
-    for (double x : *xs) into->add(x);
-    return true;
-  }
-  return fail(error, "stats: missing h/raw member");
+  jsonu::Reader r(raw);
+  if (read_stats(r, into) && r.end()) return true;
+  if (error) *error = "stats: " + r.error();
+  return false;
 }
 
 }  // namespace ccd

@@ -43,6 +43,10 @@
 
 namespace ccd {
 
+namespace jsonu {
+class Reader;
+}  // namespace jsonu
+
 class Stats {
  public:
   enum class Mode : std::uint8_t {
@@ -119,10 +123,16 @@ class Stats {
 /// (insertion order, shortest round-trip doubles).
 std::string stats_to_json(const Stats& s);
 
-/// Rebuilds a Stats serialized by stats_to_json, plus the legacy
-/// shard-v1 encoding (a bare sample array "[x0,x1,...]", replayed via
-/// add()).  Folds into `*into` (normally freshly constructed).  Returns
-/// false and sets *error (if non-null) on malformed input.
+/// Reads one stats_to_json object at the reader's position into `*into`,
+/// replacing it (on failure `*into` is left unspecified).  The encoding
+/// picks the storage mode, so the rebuilt accumulator serializes back to
+/// the same bytes: "h" bins must be
+/// strictly ascending with counts >= 1 and keys inside the 2^53 exact
+/// window; "raw" samples must be spelled exactly as format_double writes
+/// them.  Anything else is a keyed error on the reader.
+bool read_stats(jsonu::Reader& r, Stats* into);
+
+/// read_stats over a whole document (trailing content is an error).
 bool stats_from_json(std::string_view raw, Stats* into, std::string* error);
 
 }  // namespace ccd

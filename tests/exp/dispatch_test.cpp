@@ -102,8 +102,12 @@ TEST(DispatchTest, BatchSizeDecaysToSingleCellTail) {
   EXPECT_EQ(next_batch_size(8, 4), 1u);
   EXPECT_EQ(next_batch_size(7, 4), 1u);
   EXPECT_EQ(next_batch_size(1, 4), 1u);
-  EXPECT_EQ(next_batch_size(1000, 1), 500u);
-  EXPECT_EQ(next_batch_size(5, 0), 2u);  // workers clamped to 1, not / 0
+  // One slot: nobody can steal the tail, so the whole queue is one batch
+  // (workers == 0 is clamped to 1, not divided by).
+  EXPECT_EQ(next_batch_size(1000, 1), 1000u);
+  EXPECT_EQ(next_batch_size(5, 0), 5u);
+  EXPECT_EQ(next_batch_size(1, 1), 1u);
+  EXPECT_EQ(next_batch_size(1000, 2), 250u);
 
   // The decay never hands out zero and never exceeds the queue's own
   // half-share, so N workers always leave work for the other N - 1.
@@ -259,9 +263,9 @@ TEST(DispatchTest, DeterministicallyCrashingWorkerHitsTheAssignmentCap) {
 }
 
 TEST(DispatchTest, WorkerExitsAreReapedWithoutWaitingForThePollInterval) {
-  // smoke: 6 cells, so one worker runs 4 decaying batches (3, 1, 1, 1).
-  // Reaping each on its poll tick would take 4 x 20 s; reaping on exit
-  // takes well under a second.
+  // smoke: 6 cells, so one worker runs them as one batch.  Reaping it on
+  // its poll tick would take 20 s; reaping on exit takes well under a
+  // second.
   const std::string worker_bin = CCD_SWEEP_BIN;
   ASSERT_FALSE(worker_bin.empty()) << "CCD_SWEEP_BIN not configured";
   auto grid = SweepGrid::named("smoke");
@@ -281,7 +285,7 @@ TEST(DispatchTest, WorkerExitsAreReapedWithoutWaitingForThePollInterval) {
   const std::uint64_t elapsed_ms = ms_since(start);
   ASSERT_TRUE(result.has_value()) << error;
   EXPECT_LT(elapsed_ms, 10000u);
-  EXPECT_EQ(result->stats.batches, 4u);
+  EXPECT_EQ(result->stats.batches, 1u);
   EXPECT_EQ(result->stats.steals, 0u);
   EXPECT_EQ(result->stats.worker_restarts, 0u);
 

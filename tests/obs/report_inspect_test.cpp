@@ -96,18 +96,6 @@ TEST(ReportInspect, ExportCanonicalizesShardReportToDist) {
   EXPECT_EQ(out, again);
 }
 
-TEST(ReportInspect, LegacyV1ShardArraysParse) {
-  // Pre-v2 shard reports serialized stats as bare sample arrays.
-  const std::string legacy =
-      R"({"format":"ccd-shard-report-v1","grid_fingerprint":"00000000deadbeef",)"
-      R"("cells":[{"cell":0,"runs":2,"decision_round":[6,4]}]})";
-  InspectOptions options;
-  std::string out, error;
-  ASSERT_TRUE(render_report(legacy, options, &out, &error)) << error;
-  EXPECT_NE(out.find("decision_round  n=2"), std::string::npos) << out;
-  EXPECT_NE(out.find("min=4.0000"), std::string::npos) << out;
-}
-
 TEST(ReportInspect, RejectsMismatchedKindsAndGarbage) {
   std::string out, error;
   bool differs = false;

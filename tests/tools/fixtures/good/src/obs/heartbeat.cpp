@@ -1,6 +1,6 @@
 // Good fixture: wall clock is permitted in src/obs/ heartbeat code, and
 // obs/ may reach DOWN the DAG into util/.
-#include "util/flat_json.hpp"
+#include "util/json.hpp"
 
 #include <chrono>
 

@@ -164,9 +164,8 @@ TEST(StatsHistogram, MergeEqualsSinglePassFoldOnRandomSplits) {
   }
 }
 
-/// Serialization round trip in both modes, plus the legacy v1 bare-array
-/// form that pre-v2 shard reports used.
-TEST(StatsHistogram, JsonRoundTripAndLegacyV1) {
+/// Serialization round trip in both modes.
+TEST(StatsHistogram, JsonRoundTrip) {
   Stats hist;
   for (double x : {4.0, 4.0, 7.0, -2.0}) hist.add(x);
   EXPECT_EQ(stats_to_json(hist), "{\"h\":[-2,1,4,2,7,1]}");
@@ -184,22 +183,6 @@ TEST(StatsHistogram, JsonRoundTripAndLegacyV1) {
       << error;
   EXPECT_FALSE(raw_back.histogram_active());
   EXPECT_EQ(stats_to_json(raw_back), stats_to_json(raw));
-
-  // Legacy v1: a bare sample array.  Integer-only arrays rebuild into
-  // histogram mode; the rendered statistics are what the old reader
-  // produced from the same samples.
-  Stats legacy;
-  ASSERT_TRUE(stats_from_json("[3,1,2,2]", &legacy, &error)) << error;
-  EXPECT_TRUE(legacy.histogram_active());
-  EXPECT_EQ(legacy.count(), 4u);
-  EXPECT_EQ(legacy.median(), 2.0);
-  EXPECT_EQ(stats_to_json(legacy), "{\"h\":[1,1,2,2,3,1]}");
-
-  Stats legacy_real;
-  ASSERT_TRUE(stats_from_json("[0.5,2]", &legacy_real, &error)) << error;
-  EXPECT_FALSE(legacy_real.histogram_active());
-  EXPECT_EQ(legacy_real.count(), 2u);
-  EXPECT_EQ(legacy_real.min(), 0.5);
 }
 
 /// Out-of-window and signed-zero values must demote rather than corrupt

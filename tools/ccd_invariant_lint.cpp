@@ -39,9 +39,9 @@
 // entries that suppress nothing are themselves errors, so the allowlist
 // can only shrink.
 //
-// The scanner is comments/strings/raw-strings-aware (same flat-scanner
-// style as util/flat_json): forbidden tokens in comments, string literals
-// or raw strings never fire.
+// The scanner is comments/strings/raw-strings-aware (a single forward
+// pass, like the util/json reader): forbidden tokens in comments, string
+// literals or raw strings never fire.
 //
 // Usage: ccd_invariant_lint [--root DIR] [--allow FILE] [--report FILE]
 //                           [--list-rules] [PATH...]

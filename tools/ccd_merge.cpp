@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "exp/aggregator.hpp"
+#include "exp/shard/checkpoint.hpp"
 #include "exp/shard/shard_report.hpp"
 #include "obs/perf_sidecar.hpp"
-#include "util/flat_json.hpp"
 
 namespace {
 
@@ -81,36 +81,12 @@ bool write_file(const std::string& path, const std::string& content) {
 
 /// Last heartbeat in a checkpoint file: the max ts_ms over the header and
 /// every cell marker (markers may land out of ts order under concurrent
-/// completion, and resume rewrites replayed cells with fresh stamps).
-/// Also remembers the last completing worker for the stale report.
+/// completion, and resume rewrites replayed cells with fresh stamps), and
+/// the last completing worker for the stale report.
 struct Heartbeat {
   std::uint64_t ts_ms = 0;
-  bool has_worker = false;
-  std::uint32_t worker = 0;
+  std::optional<std::uint32_t> worker;
 };
-
-bool read_heartbeat(const std::string& path, Heartbeat& hb) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto flat = ccd::jsonu::FlatJson::parse(line);
-    if (!flat) continue;  // torn trailing line: skip, like resume does
-    const std::string* ts = flat->find("ts_ms");
-    if (!ts) continue;
-    char* end = nullptr;
-    const std::uint64_t ts_ms = std::strtoull(ts->c_str(), &end, 10);
-    if (!end || *end != '\0' || ts_ms < hb.ts_ms) continue;
-    hb.ts_ms = ts_ms;
-    if (const std::string* worker = flat->find("worker")) {
-      hb.has_worker = true;
-      hb.worker =
-          static_cast<std::uint32_t>(std::strtoul(worker->c_str(), &end, 10));
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -192,7 +168,8 @@ int main(int argc, char** argv) {
     std::vector<Heartbeat> beats(checkpoint_inputs.size());
     std::uint64_t newest_ms = 0;
     for (std::size_t i = 0; i < checkpoint_inputs.size(); ++i) {
-      if (!read_heartbeat(checkpoint_inputs[i], beats[i])) {
+      if (!tail_checkpoint(checkpoint_inputs[i], nullptr, &beats[i].ts_ms,
+                           &beats[i].worker)) {
         std::fprintf(stderr, "ccd_merge: cannot read checkpoint %s\n",
                      checkpoint_inputs[i].c_str());
         return 2;
@@ -203,9 +180,9 @@ int main(int argc, char** argv) {
       const std::uint64_t age_ms = newest_ms - beats[i].ts_ms;
       const bool stale = age_ms > stale_after_secs * 1000;
       if (stale || !quiet) {
-        std::string who = beats[i].has_worker
+        std::string who = beats[i].worker
                               ? " (last worker " +
-                                    std::to_string(beats[i].worker) + ")"
+                                    std::to_string(*beats[i].worker) + ")"
                               : "";
         std::fprintf(stderr,
                      "ccd_merge: checkpoint %s: last heartbeat %llu ms "
