@@ -24,12 +24,12 @@ void Alg1Process::on_receive(Round /*round*/,
                              std::span<const Message> received, CdAdvice cd,
                              CmAdvice /*cm*/) {
   if (phase_ == Phase::kProposal) {
-    const std::vector<Value> messages =
-        unique_values(received, Message::Kind::kEstimate);
+    const ValueSummary messages =
+        summarize_values(received, Message::Kind::kEstimate);
     if (cd != CdAdvice::kCollision && !messages.empty()) {
-      estimate_ = messages.front();  // min{messages_i} (line 11)
+      estimate_ = messages.min;  // min{messages_i} (line 11)
     }
-    proposal_unique_values_ = messages.size();
+    proposal_unique_values_ = messages.distinct;
     proposal_cd_ = cd;
     phase_ = Phase::kVeto;
     return;

@@ -38,7 +38,7 @@ class Alg1Process final : public ConsensusProcess {
   Value estimate_;
   Phase phase_ = Phase::kProposal;
   // Carried from the latest proposal round into the veto round:
-  std::size_t proposal_unique_values_ = 0;  ///< |messages_i| = |SET(recv)|
+  std::uint32_t proposal_unique_values_ = 0;  ///< min(|SET(recv)|, 2)
   CdAdvice proposal_cd_ = CdAdvice::kNull;
 };
 

@@ -47,9 +47,9 @@ std::optional<Message> Alg2Core::step_send(CmAdvice cm, bool muted) {
 void Alg2Core::step_receive(std::span<const Message> received, CdAdvice cd) {
   switch (phase_) {
     case Phase::kPrepare: {
-      const std::vector<Value> messages = unique_values(received, estimate_kind_);
+      const ValueSummary messages = summarize_values(received, estimate_kind_);
       if (cd != CdAdvice::kCollision && !messages.empty()) {
-        estimate_ = messages.front();  // min (line 12)
+        estimate_ = messages.min;  // min (line 12)
       }
       decide_flag_ = true;
       bit_ = 1;

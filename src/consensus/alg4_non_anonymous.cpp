@@ -87,19 +87,19 @@ std::optional<Message> Alg4Process::on_send(Round round, CmAdvice cm) {
 
 void Alg4Process::receive_announce(std::span<const Message> received,
                                    CdAdvice cd) {
-  const std::vector<Value> announced =
-      unique_values(received, Message::Kind::kLeaderValue);
+  const ValueSummary announced =
+      summarize_values(received, Message::Kind::kLeaderValue);
 
   // Clean reception: exactly one announced value and no collision.
-  if (announced.size() == 1 && cd != CdAdvice::kCollision) {
+  if (announced.distinct == 1 && cd != CdAdvice::kCollision) {
     heard_current_ = true;
     if (rule_ == Alg4DecisionRule::kHardened) {
-      announce_ = announced.front();  // adopt: a re-elected leader must
+      announce_ = announced.min;  // adopt: a re-elected leader must
                                       // re-broadcast a possibly-decided value
     } else if (!am_leader_) {
       // Literal Section 7.3 text: decide on first receipt.  UNSAFE -- see
       // header comment; kept to let tests/benches exhibit the violation.
-      decide(announced.front());
+      decide(announced.min);
       halt();
     }
     return;

@@ -19,10 +19,10 @@ void NaiveNoCdProcess::on_receive(Round /*round*/,
                                   std::span<const Message> received,
                                   CdAdvice /*cd -- deliberately ignored*/,
                                   CmAdvice /*cm*/) {
-  const std::vector<Value> estimates =
-      unique_values(received, Message::Kind::kEstimate);
+  const ValueSummary estimates =
+      summarize_values(received, Message::Kind::kEstimate);
   if (!estimates.empty()) {
-    estimate_ = estimates.front();
+    estimate_ = estimates.min;
     decide(estimate_);
     halt();
     return;

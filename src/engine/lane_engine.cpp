@@ -17,6 +17,21 @@ std::vector<EngineWorld> one_world(EngineWorld world) {
   return worlds;
 }
 
+/// Sort one receiver's range of the arena.  Ranges of 0-2 messages (every
+/// capture receiver, most lossy ones) take at most one compare-swap; equal
+/// Messages are byte-identical, so every correct sort yields the same
+/// bytes.  Forced inline: GCC otherwise keeps it out of line for the sake
+/// of the std::sort inside, and every receiver -- most hold 0-2 messages
+/// -- then pays a call.
+[[gnu::always_inline]] inline void sort_range(Message* first,
+                                              std::uint32_t count) {
+  if (count == 2) {
+    if (first[1] < first[0]) std::swap(first[0], first[1]);
+  } else if (count > 2) {
+    std::sort(first, first + count);
+  }
+}
+
 }  // namespace
 
 LaneEngine::LaneEngine(EngineWorld world, EngineOptions options)
@@ -63,7 +78,6 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
   recv_count_.resize(lanes_);
   local_c_.resize(lanes_);
   sent_msg_.resize(lanes_);
-  recv_.resize(lanes_);
   counters_.resize(lanes_);
   decided_value_.resize(lanes_);
   total_broadcasts_.assign(lanes_, 0);
@@ -73,8 +87,9 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
   results_.resize(lanes_);
   logs_.reserve(lanes_);
   link_rng_.reserve(lanes_);
-  broadcasting_neighbors_.reserve(n_ > 0 ? worlds_[0].topology.max_degree()
-                                          : 0);
+  max_degree_ = n_ > 0 ? worlds_[0].topology.max_degree() : 0;
+  broadcasting_neighbors_.reserve(max_degree_);
+  recv_off_.assign(n_, 0);
 
   for (std::size_t l = 0; l < lanes_; ++l) {
     World& w = worlds_[l].world;
@@ -102,7 +117,6 @@ LaneEngine::LaneEngine(std::vector<EngineWorld> worlds, EngineOptions options)
     recv_count_[l].assign(n_, 0);
     local_c_[l].assign(n_, 0);
     sent_msg_[l].resize(n_);
-    recv_[l].resize(n_);
     decided_value_[l].assign(n_, kNoValue);
 
     for (std::size_t i = 0; i < n_; ++i) note_halt_state(l, i);
@@ -142,61 +156,74 @@ void LaneEngine::commit_crashes(std::size_t l, Round r) {
   }
 }
 
+Message* LaneEngine::arena(std::size_t bound) {
+  if (arena_.size() < bound) arena_.resize(bound);
+  return arena_.data();
+}
+
 void LaneEngine::deliver_matrix_global(std::size_t l, Round r) {
   World& w = worlds_[l].world;
   const std::uint64_t* sent = sent_[l].data();
+  const std::vector<Message>& msg = sent_msg_[l];
+  const ProcessSet& part = participating_[l];
+  const std::uint32_t bc = broadcaster_count_[l];
   std::vector<std::uint32_t>& rc = recv_count_[l];
   std::fill(rc.begin(), rc.end(), 0);
 
-  const bool all = w.loss->always_delivers();
-  if (all) {
+  if (w.loss->always_delivers()) {
     // Loss-free clique: every participating receiver observes the SAME
     // multiset -- every broadcast, self-delivery included -- so build and
-    // sort it once and let C_r hand each receiver the shared view (the
-    // same bytes a per-receiver assembly would sort into).
-    shared_recv_.clear();
+    // sort it once and point every receiver at that one range.
+    Message* out = arena(bc);
+    std::uint32_t k = 0;
     for (std::size_t sw = 0; sw < words_; ++sw) {
-      for_each_bit(sent[sw], sw * 64, [&](std::size_t j) {
-        shared_recv_.push_back(sent_msg_[l][j]);
-      });
+      for_each_bit(sent[sw], sw * 64,
+                   [&](std::size_t j) { out[k++] = msg[j]; });
     }
-    std::sort(shared_recv_.begin(), shared_recv_.end());
-    recv_shared_ = true;
-    const auto count = static_cast<std::uint32_t>(shared_recv_.size());
-    participating_[l].for_each([&](std::size_t i) {
-      rc[i] = count;
-      counters_[l].messages_delivered += count;
+    sort_range(out, k);
+    part.for_each([&](std::size_t i) {
+      recv_off_[i] = 0;
+      rc[i] = k;
+      counters_[l].messages_delivered += k;
     });
     return;
   }
 
-  // The adversary contract: a reset matrix in, delivery decisions out,
-  // self-delivery enforced afterwards (Definition 11, constraint 5).
+  // The adversary contract: a reset matrix in, delivery decisions out.
+  // Self-delivery (Definition 11, constraint 5) is ORed into each
+  // receiver's own row below rather than written into the matrix.
   delivery_.reset(n_, false);
   w.loss->decide_delivery(r, sent_[l], delivery_);
-  sent_[l].for_each([&](std::size_t j) { delivery_.set(j, j, true); });
 
   // Clique: the receiver set is the participation mask, and receiver i's
-  // messages are the set bits of sent & row(i) -- non-senders and lost
-  // messages are never visited.
-  participating_[l].for_each([&](std::size_t i) {
-    std::vector<Message>& in = recv_[l][i];
-    in.clear();
+  // messages are the set bits of sent & (row(i) | {i}) -- non-senders and
+  // lost messages are never visited.  No receiver hears more than the bc
+  // broadcasts.
+  Message* out = arena(part.count() * bc);
+  std::uint32_t off = 0;
+  part.for_each([&](std::size_t i) {
     const std::uint64_t* row = delivery_.row(i);
+    const std::size_t self_word = i / 64;
+    const std::uint64_t self_bit = std::uint64_t{1} << (i % 64);
+    std::uint32_t k = off;
     for (std::size_t sw = 0; sw < words_; ++sw) {
-      for_each_bit(sent[sw] & row[sw], sw * 64, [&](std::size_t j) {
-        in.push_back(sent_msg_[l][j]);
-      });
+      const std::uint64_t heard = row[sw] | (sw == self_word ? self_bit : 0);
+      for_each_bit(sent[sw] & heard, sw * 64,
+                   [&](std::size_t j) { out[k++] = msg[j]; });
     }
-    std::sort(in.begin(), in.end());
-    rc[i] = static_cast<std::uint32_t>(in.size());
+    recv_off_[i] = off;
+    rc[i] = k - off;
+    sort_range(out + off, rc[i]);
     counters_[l].messages_delivered += rc[i];
+    off = k;
   });
 }
 
 void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
   World& w = worlds_[l].world;
   const std::uint64_t* sent = sent_[l].data();
+  const std::vector<Message>& msg = sent_msg_[l];
+  const ProcessSet& alive = alive_[l];
   std::vector<std::uint32_t>& rc = recv_count_[l];
   std::vector<std::uint32_t>& lc = local_c_[l];
   std::fill(rc.begin(), rc.end(), 0);
@@ -210,14 +237,18 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
 
   // Ground-truth contention c_i is counted over the neighborhood whether or
   // not anything was delivered; the adversary's matrix is masked by
-  // adjacency, so receiver i hears the set bits of sent & adj(i) & row(i).
-  alive_[l].for_each([&](std::size_t i) {
-    std::vector<Message>& in = recv_[l][i];
-    in.clear();
+  // adjacency, so receiver i hears its own broadcast plus the set bits of
+  // sent & adj(i) & row(i) -- at most one message per closed neighbor.
+  const std::size_t fan_in =
+      std::min<std::size_t>(broadcaster_count_[l], max_degree_ + 1);
+  Message* out = arena(alive.count() * fan_in);
+  std::uint32_t off = 0;
+  alive.for_each([&](std::size_t i) {
+    std::uint32_t k = off;
     std::uint32_t c = 0;
     if (sent_[l][i]) {
-      ++c;                              // own broadcast counts toward c_i
-      in.push_back(sent_msg_[l][i]);    // and is always self-delivered
+      ++c;                   // own broadcast counts toward c_i
+      out[k++] = msg[i];     // and is always self-delivered
     }
     const std::uint64_t* adj = &adj_[i * words_];
     const std::uint64_t* row = all ? nullptr : delivery_.row(i);
@@ -225,17 +256,21 @@ void LaneEngine::deliver_matrix_local(std::size_t l, Round r) {
       const std::uint64_t heard = sent[sw] & adj[sw];
       c += static_cast<std::uint32_t>(std::popcount(heard));
       for_each_bit(all ? heard : heard & row[sw], sw * 64,
-                   [&](std::size_t j) { in.push_back(sent_msg_[l][j]); });
+                   [&](std::size_t j) { out[k++] = msg[j]; });
     }
-    std::sort(in.begin(), in.end());
-    rc[i] = static_cast<std::uint32_t>(in.size());
+    recv_off_[i] = off;
+    rc[i] = k - off;
+    sort_range(out + off, rc[i]);
     counters_[l].messages_delivered += rc[i];
     lc[i] = c;
+    off = k;
   });
 }
 
 void LaneEngine::deliver_capture(std::size_t l) {
   const std::uint64_t* sent = sent_[l].data();
+  const std::vector<Message>& msg = sent_msg_[l];
+  const ProcessSet& alive = alive_[l];
   const MhLinkModel& link = worlds_[l].link;
   Rng& rng = link_rng_[l];
   std::vector<std::uint32_t>& rc = recv_count_[l];
@@ -244,10 +279,12 @@ void LaneEngine::deliver_capture(std::size_t l) {
   std::fill(lc.begin(), lc.end(), 0);
 
   // Receivers ascending, dead skipped WITHOUT consuming randomness: the
-  // per-lane link RNG stream is part of the lane contract.
-  alive_[l].for_each([&](std::size_t i) {
-    std::vector<Message>& in = recv_[l][i];
-    in.clear();
+  // per-lane link RNG stream is part of the lane contract.  A receiver
+  // hears at most its own broadcast and one captured neighbor.
+  Message* out = arena(2 * alive.count());
+  std::uint32_t off = 0;
+  alive.for_each([&](std::size_t i) {
+    std::uint32_t k = off;
     broadcasting_neighbors_.clear();
     const std::uint64_t* adj = &adj_[i * words_];
     for (std::size_t sw = 0; sw < words_; ++sw) {
@@ -259,27 +296,31 @@ void LaneEngine::deliver_capture(std::size_t l) {
         static_cast<std::uint32_t>(broadcasting_neighbors_.size());
     if (sent_[l][i]) {
       ++c;
-      in.push_back(sent_msg_[l][i]);
+      out[k++] = msg[i];
     }
     if (broadcasting_neighbors_.size() == 1) {
       if (rng.chance(link.p_single)) {
-        in.push_back(sent_msg_[l][broadcasting_neighbors_.front()]);
+        out[k++] = msg[broadcasting_neighbors_.front()];
       }
     } else if (broadcasting_neighbors_.size() > 1) {
       if (rng.chance(link.p_capture)) {
-        const std::uint32_t j = broadcasting_neighbors_[rng.below(
-            broadcasting_neighbors_.size())];
-        in.push_back(sent_msg_[l][j]);
+        out[k++] = msg[broadcasting_neighbors_[rng.below(
+            broadcasting_neighbors_.size())]];
       }
     }
-    std::sort(in.begin(), in.end());
-    rc[i] = static_cast<std::uint32_t>(in.size());
+    recv_off_[i] = off;
+    rc[i] = k - off;
+    sort_range(out + off, rc[i]);
     counters_[l].messages_delivered += rc[i];
     lc[i] = c;
+    off = k;
   });
 }
 
-void LaneEngine::lane_round(std::size_t l, Round r) {
+void LaneEngine::lane_round(std::size_t l, Round r,
+                            obs::EnginePhases* timed) {
+  using obs::EnginePhase;
+  obs::PhaseClock clock(timed);
   World& w = worlds_[l].world;
   const bool local = this->local();
   obs::EngineCounters& ctr = counters_[l];
@@ -287,7 +328,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
 
   // Participation snapshot for this round: alive and not halted.  Both
   // flags are event-maintained (crash commits, halt memoization), so the
-  // snapshot is W word ops instead of n virtual halted() probes.
+  // snapshot is W word ops instead of n halted() probes.
   ProcessSet& part = participating_[l];
   const std::uint64_t* alive = alive_[l].data();
   const std::uint64_t* halted = halted_[l].data();
@@ -299,6 +340,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   w.cm->advise(r, part, cm_advice_[l]);
   cm_advice_[l].resize(n_, CmAdvice::kPassive);
   ++ctr.cm_advice_calls;
+  clock.lap(EnginePhase::kCm);
 
   const bool faults = !w.fault->never_crashes();
 
@@ -311,6 +353,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
     commit_crashes(l, r);
     ctr.crashes_before_send += crashes_applied_[l] - pre;
   }
+  clock.lap(EnginePhase::kCrash);
 
   // M_r: message assignments.  Senders land as set bits; the message slot
   // is valid iff the bit is (no per-round optional churn).
@@ -328,6 +371,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
     }
     note_halt_state(l, i);
   });
+  clock.lap(EnginePhase::kSend);
 
   // Crash point B (kAfterSend): the round-r message is out, the transition
   // is not taken.  kLocal commits immediately; kGlobal defers so the
@@ -338,9 +382,9 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
     w.fault->crash_after_send(r, alive_[l], crash_[l]);
     if (local) commit_crashes(l, r);
   }
+  clock.lap(EnginePhase::kCrash);
 
-  // N_r: receive multisets.
-  recv_shared_ = false;
+  // N_r: receive multisets, one arena range per receiver.
   if (worlds_[0].channel == ChannelModel::kMatrix) {
     if (local) {
       deliver_matrix_local(l, r);
@@ -350,6 +394,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
   } else {
     deliver_capture(l);
   }
+  clock.lap(EnginePhase::kDelivery);
 
   ctr.messages_sent += bc;
 
@@ -369,6 +414,7 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
     });
   }
   w.cm->observe(r, bc);
+  clock.lap(EnginePhase::kCd);  // observe() is one call: not worth a lap
 
   // C_r: transitions (skipped for processes crashing this round).  kLocal
   // consults the LIVE halted flag (a process that halted inside its own
@@ -381,20 +427,21 @@ void LaneEngine::lane_round(std::size_t l, Round r) {
     const std::uint64_t takers = local ? alive[wdx] & ~halted[wdx]
                                        : part.data()[wdx] & ~crash_b[wdx];
     for_each_bit(takers, wdx * 64, [&](std::size_t i) {
-      w.processes[i]->on_receive(
-          r, recv_shared_ ? shared_recv_ : recv_[l][i], cd_advice_[l][i],
-          cm_advice_[l][i]);
+      Process& p = *w.processes[i];
+      p.on_receive(r, inbox(l, i), cd_advice_[l][i], cm_advice_[l][i]);
       note_halt_state(l, i);
-      if (decided_value_[l][i] == kNoValue && w.processes[i]->decided()) {
-        decided_value_[l][i] = w.processes[i]->decision();
+      if (decided_value_[l][i] == kNoValue && p.decided()) {
+        decided_value_[l][i] = p.decision();
         decided_lw_[i] |= lane_bit;
         logs_[l].record_decision(static_cast<ProcessId>(i), r,
                                  decided_value_[l][i]);
       }
     });
   }
+  clock.lap(EnginePhase::kReceive);
   if (!local && faults) commit_crashes(l, r);
   ctr.crashes_after_send += crashes_applied_[l] - pre_b;
+  clock.lap(EnginePhase::kCrash);
   if (options_.record_rounds) record_round(l);
 }
 
@@ -411,7 +458,8 @@ void LaneEngine::record_round(std::size_t l) {
       // A receiver's multiset was rebuilt this round iff its count is
       // nonzero; every other receiver observed the empty multiset.
       if (recv_count_[l][i] > 0) {
-        v.received = recv_shared_ ? shared_recv_ : recv_[l][i];
+        const std::span<const Message> in = inbox(l, i);
+        v.received.assign(in.begin(), in.end());
       }
       v.cd = cd_advice_[l][i];
       v.cm = cm_advice_[l][i];
@@ -425,7 +473,14 @@ void LaneEngine::record_round(std::size_t l) {
 void LaneEngine::step() {
   if (!active_) return;  // every lane retired: the clock stops too
   const Round r = ++round_;
-  for_each_bit(active_, 0, [&](std::size_t l) { lane_round(l, r); });
+  for_each_bit(active_, 0, [&](std::size_t l) {
+    obs::EnginePhases* timed = nullptr;
+    if (options_.phases && options_.phases->round_due()) [[unlikely]] {
+      timed = &options_.phases->totals();
+      ++timed->sampled_rounds;
+    }
+    lane_round(l, r, timed);
+  });
 }
 
 void LaneEngine::retire(std::size_t l) {
@@ -453,14 +508,16 @@ void LaneEngine::run(Round max_rounds) {
   }
   while (active_) {
     if (options_.stop_when_all_decided) {
-      // Which lanes still hold an undecided correct process: one AND-NOT
-      // per process covers all 64 seeds at once.
-      std::uint64_t undecided = 0;
-      for (std::size_t i = 0; i < n_; ++i) {
-        undecided |= alive_lw_[i] & ~decided_lw_[i];
-      }
-      for_each_bit(active_ & ~undecided, 0,
-                   [&](std::size_t l) { retire(l); });
+      termination_sweep([&] {
+        // Which lanes still hold an undecided correct process: one
+        // AND-NOT per process covers all 64 seeds at once.
+        std::uint64_t undecided = 0;
+        for (std::size_t i = 0; i < n_; ++i) {
+          undecided |= alive_lw_[i] & ~decided_lw_[i];
+        }
+        for_each_bit(active_ & ~undecided, 0,
+                     [&](std::size_t l) { retire(l); });
+      });
       if (!active_) return;
     }
     if (round_ >= max_rounds) break;

@@ -59,6 +59,22 @@
 //    an undecided correct process?) are one AND-NOT per process for all 64
 //    seeds at once.
 //
+// Receive arena: N_r writes every receiver's multiset into ONE flat
+// engine-wide buffer, receiver i's as a sorted range [offset_i, offset_i +
+// T(i)); C_r hands on_receive that range as a span, and view recording
+// copies it.  The three delivery paths (lossy clique rows, adjacency-
+// masked kLocal rows, capture receivers) differ only in which sender bits
+// they walk; self-delivery is ORed into the receiver's own row walk.
+// Ranges of 0-2 messages are sorted by at most one compare-swap (equal
+// Messages are byte-identical, so the bytes cannot depend on the sort).
+// Under a statically all-delivering loss model on a clique every
+// participant observes the same multiset, so it is built and sorted once
+// and every participant points at that one range.
+//
+// Process status: decided() / decision() / halted() are plain loads on
+// Process (set through its protected decide() / halt()), read once per
+// process per transition -- not virtual probes.
+//
 // LANE CONTRACT: each lane owns its OWN component objects (cm / cd / loss
 // / fault / processes / link RNG), and the engine performs the same
 // component calls with the same arguments in the same order for a lane
@@ -69,8 +85,9 @@
 // path to report and counter digests frozen from the retired per-run
 // engine.  Engine-owned shortcuts that are unobservable by construction:
 //
-//  * halted() is memoized -- it can only change inside that process's own
-//    on_send/on_receive, so the cache is re-queried exactly there;
+//  * the halted mask is event-maintained -- halted() can only change
+//    inside that process's own on_send/on_receive, so the mask re-reads it
+//    exactly there;
 //  * statically neutral components short-circuit: NoLoss
 //    (LossAdversary::always_delivers) skips the delivery matrix, NoFailures
 //    (FailureAdversary::never_crashes) skips both crash points.  Both are
@@ -87,15 +104,27 @@
 // EngineOptions::record_rounds each lane's ExecutionLog also receives the
 // per-round transmission / cd / cm traces, and with record_views the
 // per-process RoundViews (the --rerun-cell trace-capture path).  Sweeps
-// record neither; after the first round a step() then performs no heap
-// allocation (bench_sim_micro's BM_EngineRound pins the steady state).
+// record neither; once the receive arena has reached its high-water mark
+// (the first few rounds) a step() performs no heap allocation --
+// engine_lane_alloc_test holds a 64-wide crash-grid block to that with a
+// counting operator new, and bench_sim_micro's BM_EngineRound* pin the
+// throughput.
+//
+// Phase timers: with EngineOptions::phases set, one lane-round in
+// obs::kPhaseSampleEvery is timed phase by phase (crash points, CM,
+// send, delivery, CD, receive) and one termination sweep in as many
+// (obs/engine_phases.hpp); off, the cost is one predictable branch per
+// lane-round.  ccd_sweep --perf-out turns them on and emits the sums as
+// the perf sidecar's "engine_phases".
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/process_set.hpp"
 #include "multihop/topology.hpp"
+#include "obs/engine_phases.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/execution_log.hpp"
 #include "sim/world.hpp"
@@ -141,6 +170,11 @@ struct EngineOptions {
   /// Callers driving step() directly (flood / MIS budget loops) retire
   /// lanes themselves.
   bool stop_when_all_decided = true;
+  /// Phase-timer sink: when set, one lane-round (and one termination
+  /// sweep) in obs::kPhaseSampleEvery is timed phase by phase and added
+  /// to its totals.  Null = off, at the cost of one predictable branch per
+  /// lane-round.  Observation only; never changes an execution.
+  obs::PhaseSampler* phases = nullptr;
 };
 
 struct RunResult {
@@ -174,6 +208,23 @@ class LaneEngine {
   /// or max_rounds elapsed.  n = 0 retires every lane at once, all
   /// decided, with no rounds.  Read each lane's result() afterwards.
   void run(Round max_rounds);
+
+  /// The budget loop of workloads with their own completion condition
+  /// (flood coverage, MIS settlement): step every active lane, then retire
+  /// each lane l for which done(l, r) holds after round r; lanes still
+  /// active after `budget` rounds retire then.
+  template <typename Done>
+  void run_until(Round budget, Done done) {
+    for (Round r = 1; r <= budget && active_; ++r) {
+      step();
+      termination_sweep([&] {
+        for_each_bit(active_, 0, [&](std::size_t l) {
+          if (done(l, r)) retire(l);
+        });
+      });
+    }
+    for_each_bit(active_, 0, [&](std::size_t l) { retire(l); });
+  }
 
   /// Lanes still being stepped (bit l = lane l).
   std::uint64_t active_mask() const { return active_; }
@@ -239,8 +290,28 @@ class LaneEngine {
 
  private:
   bool local() const { return worlds_[0].scope == CollisionScope::kLocal; }
+  /// Receiver i's round multiset in lane l's current lane-round.
+  std::span<const Message> inbox(std::size_t l, std::size_t i) const {
+    return {arena_.data() + recv_off_[i], recv_count_[l][i]};
+  }
+  /// The arena, grown to hold at least `bound` messages.
+  Message* arena(std::size_t bound);
+  /// Run one termination sweep, timed when its sample is due.
+  template <typename Sweep>
+  void termination_sweep(Sweep sweep) {
+    if (options_.phases && options_.phases->sweep_due()) [[unlikely]] {
+      obs::EnginePhases& totals = options_.phases->totals();
+      ++totals.sampled_sweeps;
+      obs::PhaseClock clock(&totals);
+      sweep();
+      clock.lap(obs::EnginePhase::kTermination);
+    } else {
+      sweep();
+    }
+  }
   void commit_crashes(std::size_t l, Round r);
-  void lane_round(std::size_t l, Round r);
+  /// One lane-round; `timed` (null = untimed) receives its phase laps.
+  void lane_round(std::size_t l, Round r, obs::EnginePhases* timed);
   void deliver_matrix_global(std::size_t l, Round r);
   void deliver_matrix_local(std::size_t l, Round r);
   void deliver_capture(std::size_t l);
@@ -250,6 +321,7 @@ class LaneEngine {
   std::size_t lanes_ = 0;
   std::size_t n_ = 0;
   std::size_t words_ = 0;  ///< process words per lane row: ceil(n/64)
+  std::size_t max_degree_ = 0;
   EngineOptions options_;
   Round round_ = 0;
   std::uint64_t active_ = 0;
@@ -276,8 +348,7 @@ class LaneEngine {
   std::vector<std::vector<CdAdvice>> cd_advice_;
   std::vector<std::vector<std::uint32_t>> recv_count_;
   std::vector<std::vector<std::uint32_t>> local_c_;
-  std::vector<std::vector<Message>> sent_msg_;          // [l][i], sent bit = valid
-  std::vector<std::vector<std::vector<Message>>> recv_;  // [l][i] multisets
+  std::vector<std::vector<Message>> sent_msg_;  // [l][i], sent bit = valid
 
   // Per-lane tallies.
   std::vector<obs::EngineCounters> counters_;
@@ -289,16 +360,17 @@ class LaneEngine {
   std::vector<std::uint32_t> broadcaster_count_;
   std::vector<RunResult> results_;
 
-  // Shared scratch (consumed within one lane's delivery phase).
+  // Shared scratch, consumed within one lane-round.
   DeliveryMatrix delivery_;
   std::vector<std::uint32_t> broadcasting_neighbors_;
-  /// Loss-free clique fast path: with a statically-all-delivering loss
-  /// model every participating receiver observes the SAME multiset, so
-  /// deliver_matrix_global builds it once here and C_r hands every
-  /// on_receive this shared view instead of a per-receiver copy.  Valid
-  /// only within the lane_round that set recv_shared_.
-  std::vector<Message> shared_recv_;
-  bool recv_shared_ = false;
+  /// The receive arena: N_r writes every receiver's multiset into this
+  /// one flat buffer, receiver i's at [recv_off_[i], + recv_count_[l][i]),
+  /// sorted; C_r and record_round read it back through inbox().  Under
+  /// the loss-free clique fast path every participant points at the same
+  /// range.  It only grows, so a lane-round allocates nothing once it has
+  /// reached its high-water mark.
+  std::vector<Message> arena_;
+  std::vector<std::uint32_t> recv_off_;
 };
 
 }  // namespace ccd

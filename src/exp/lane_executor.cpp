@@ -28,7 +28,8 @@ namespace {
 /// decisions and crashes the verdicts read.
 EngineOptions engine_options(const RunScenarioOptions& options,
                              bool stop_when_all_decided) {
-  return {options.capture_log, options.capture_log, stop_when_all_decided};
+  return {options.capture_log, options.capture_log, stop_when_all_decided,
+          options.phases};
 }
 
 /// Graph-level metrics, shared by every lane of a block (one topology).
@@ -147,19 +148,6 @@ LaneEngine make_capture_lanes(const std::vector<ScenarioSpec>& specs,
   return LaneEngine(std::move(worlds), engine_options(options, false));
 }
 
-/// The flood / MIS budget loop: step every active lane, retire each as
-/// soon as done(lane, round) holds, and retire the rest at the budget.
-template <typename Done>
-void drive(LaneEngine& eng, Round budget, Done done) {
-  for (Round r = 1; r <= budget && eng.active_mask(); ++r) {
-    eng.step();
-    for_each_bit(eng.active_mask(), 0, [&](std::size_t l) {
-      if (done(l, r)) eng.retire(l);
-    });
-  }
-  for_each_bit(eng.active_mask(), 0, [&](std::size_t l) { eng.retire(l); });
-}
-
 void run_flood_block(const std::vector<ScenarioSpec>& specs,
                      const RunScenarioOptions& options,
                      std::vector<ScenarioOutcome>& outs) {
@@ -171,25 +159,25 @@ void run_flood_block(const std::vector<ScenarioSpec>& specs,
 
   std::vector<Round> quiesce;
   LaneEngine eng = make_capture_lanes(specs, topo, options, quiesce, false);
-  drive(eng, WorldFactory::multihop_max_rounds(specs[0]),
-        [&](std::size_t l, Round r) {
-          // Coverage is over survivors: a copy held only by the dead
-          // serves nobody.
-          std::size_t covered = 0;
-          for (std::size_t i = 0; i < n; ++i) {
-            if (eng.alive(l, i) &&
-                static_cast<FloodProcess&>(eng.process(l, i)).has_message()) {
-              ++covered;
-            }
-          }
-          outs[l].mh.covered = covered;
-          if (eng.num_alive(l) > 0 && covered == eng.num_alive(l) &&
-              r >= quiesce[l]) {
-            outs[l].mh.full_coverage_round = r;
-            return true;
-          }
-          return false;
-        });
+  const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
+  eng.run_until(budget, [&](std::size_t l, Round r) {
+    // Coverage is over survivors: a copy held only by the dead serves
+    // nobody.
+    std::size_t covered = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (eng.alive(l, i) &&
+          static_cast<FloodProcess&>(eng.process(l, i)).has_message()) {
+        ++covered;
+      }
+    }
+    outs[l].mh.covered = covered;
+    if (eng.num_alive(l) > 0 && covered == eng.num_alive(l) &&
+        r >= quiesce[l]) {
+      outs[l].mh.full_coverage_round = r;
+      return true;
+    }
+    return false;
+  });
   for (std::size_t l = 0; l < specs.size(); ++l) {
     finish_mh(outs[l].mh, eng, l);
     finish_lane(outs[l], eng, l, options);
@@ -210,21 +198,21 @@ void run_mis_block(const std::vector<ScenarioSpec>& specs,
 
   std::vector<Round> quiesce;
   LaneEngine eng = make_capture_lanes(specs, topo, options, quiesce, true);
-  drive(eng, WorldFactory::multihop_max_rounds(specs[0]),
-        [&](std::size_t l, Round r) {
-          // Settlement over survivors, only after failures cease: a crash
-          // can un-dominate a node, so an early all-settled snapshot would
-          // overstate the clustering.
-          for (std::size_t i = 0; i < n; ++i) {
-            if (eng.alive(l, i) &&
-                !static_cast<MisProcess&>(eng.process(l, i)).settled()) {
-              return false;
-            }
-          }
-          if (r < quiesce[l]) return false;
-          outs[l].mh.mis_settle_round = r;
-          return true;
-        });
+  const Round budget = WorldFactory::multihop_max_rounds(specs[0]);
+  eng.run_until(budget, [&](std::size_t l, Round r) {
+    // Settlement over survivors, only after failures cease: a crash can
+    // un-dominate a node, so an early all-settled snapshot would overstate
+    // the clustering.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (eng.alive(l, i) &&
+          !static_cast<MisProcess&>(eng.process(l, i)).settled()) {
+        return false;
+      }
+    }
+    if (r < quiesce[l]) return false;
+    outs[l].mh.mis_settle_round = r;
+    return true;
+  });
   for (std::size_t l = 0; l < specs.size(); ++l) {
     MultihopSummary& out = outs[l].mh;
     // Heads and the independence/maximality verdicts are conditioned on

@@ -18,15 +18,16 @@ namespace {
 /// lockstep.  Per-run wall time is observational only (sidecar
 /// percentiles); the honest per-run figure for a lockstep block is its
 /// amortized cost.
-void execute_block(RunRecord* records, std::size_t count) {
+void execute_block(RunRecord* records, std::size_t count,
+                   const RunScenarioOptions& options = {}) {
   obs::RunTimer timer;
   std::vector<ScenarioOutcome> outcomes;
   if (count == 1) {
-    outcomes.push_back(WorldFactory::run_scenario(records[0].spec));
+    outcomes.push_back(WorldFactory::run_scenario(records[0].spec, options));
   } else {
     std::vector<ScenarioSpec> specs(count);
     for (std::size_t k = 0; k < count; ++k) specs[k] = records[k].spec;
-    outcomes = LaneExecutor::run_block(specs);
+    outcomes = LaneExecutor::run_block(specs, options);
   }
   const std::uint64_t wall_each = timer.elapsed_ns() / count;
   for (std::size_t k = 0; k < count; ++k) {
@@ -95,11 +96,16 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
     options.perf->spans.resize(total);
   }
   std::vector<std::uint64_t> worker_finish(threads, 0);
+  // One phase sink per worker, summed after the join.
+  const bool time_phases = options.perf && options.time_engine_phases;
+  std::vector<obs::PhaseSampler> worker_phases(time_phases ? threads : 0);
 
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   auto worker = [&](unsigned worker_id) {
     obs::Telemetry::Sink& sink = obs::Telemetry::thread_sink();
+    RunScenarioOptions run_options;
+    if (time_phases) run_options.phases = &worker_phases[worker_id];
     while (true) {
       const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
       if (b >= blocks.size()) break;
@@ -112,7 +118,7 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
         rec.cell_index = grid.cell_of_run(rec.run_index);
         rec.spec = grid.spec_for_run(rec.run_index);
       }
-      execute_block(&records[blk.first], blk.count);
+      execute_block(&records[blk.first], blk.count, run_options);
       const std::uint64_t end_ns = options.perf ? epoch.elapsed_ns() : 0;
       for (std::size_t k = 0; k < blk.count; ++k) {
         RunRecord& rec = records[blk.first + k];
@@ -158,6 +164,12 @@ std::vector<RunRecord> run_pool(const SweepGrid& grid, std::size_t total,
     // function of the specs executed).
     for (const RunRecord& record : records)
       perf.counters.add(record.perf.engine);
+    if (time_phases) {
+      perf.engine_phases.emplace();
+      for (const obs::PhaseSampler& p : worker_phases) {
+        perf.engine_phases->add(p.totals());
+      }
+    }
   }
   return records;
 }

@@ -64,6 +64,10 @@ struct SweepOptions {
   /// Null keeps the pool free of span bookkeeping.  Never read by any
   /// report writer -- reports are byte-identical either way.
   obs::SweepPerf* perf = nullptr;
+  /// With `perf` set: sample the engine's Definition 11 phases into
+  /// perf->engine_phases (see obs/engine_phases.hpp).  Off by default;
+  /// ccd_sweep turns it on for --perf-out.
+  bool time_engine_phases = false;
 };
 
 /// Run the whole grid; returns one record per run, ordered by run_index.

@@ -94,6 +94,8 @@ struct RunScenarioOptions {
   /// path.  Off for sweeps: the engine then records only decisions and
   /// crashes.
   bool capture_log = false;
+  /// Engine phase-timer sink (EngineOptions::phases); null = off.
+  obs::PhaseSampler* phases = nullptr;
 };
 
 /// The unified result of run_scenario: exactly one of the three groups is

@@ -1,20 +1,6 @@
 #include "model/message.hpp"
 
-#include <algorithm>
-
 namespace ccd {
-
-std::vector<Value> unique_values(std::span<const Message> received,
-                                 Message::Kind kind) {
-  std::vector<Value> out;
-  out.reserve(received.size());
-  for (const Message& m : received) {
-    if (m.kind == kind) out.push_back(m.value);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
 
 std::size_t count_kind(std::span<const Message> received, Message::Kind kind) {
   std::size_t n = 0;

@@ -4,7 +4,7 @@
 // shapes: a value estimate, a one-bit "veto" mark, a one-bit "vote" mark,
 // and (for the non-anonymous Section 7.3 protocol) a leader announcement
 // carrying a value.  We encode them in one POD struct so receive sets are
-// cheap flat vectors (a receive set is a *multiset* over M; Definition 11,
+// cheap flat ranges (a receive set is a *multiset* over M; Definition 11,
 // constraint 4).
 #pragma once
 
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "model/types.hpp"
 
@@ -34,11 +33,32 @@ struct Message {
   friend auto operator<=>(const Message&, const Message&) = default;
 };
 
-/// SET(M) of the paper's preliminaries: the distinct values appearing in a
-/// receive multiset, restricted to messages of the given kind.  Sorted
-/// ascending, so front() is the min{} the algorithms take.
-std::vector<Value> unique_values(std::span<const Message> received,
-                                 Message::Kind kind);
+/// SET(M) of the paper's preliminaries, reduced to what the algorithms
+/// read of it: whether the receive multiset holds no, one, or several
+/// distinct values of the given kind, and the least of them (the min{}
+/// Algorithms 1/2 adopt).  One pass, no allocation.
+struct ValueSummary {
+  std::uint32_t distinct = 0;  ///< min(|SET(M)|, 2)
+  Value min = kNoValue;        ///< min SET(M); meaningful iff distinct > 0
+  bool empty() const { return distinct == 0; }
+};
+
+inline ValueSummary summarize_values(std::span<const Message> received,
+                                     Message::Kind kind) {
+  ValueSummary s;
+  for (const Message& m : received) {
+    if (m.kind != kind) continue;
+    if (s.distinct == 0) {
+      s.distinct = 1;
+      s.min = m.value;
+    } else if (m.value != s.min) {
+      // A value other than the running min: at least two distinct values.
+      s.distinct = 2;
+      if (m.value < s.min) s.min = m.value;
+    }
+  }
+  return s;
+}
 
 /// Count messages of a given kind in a receive multiset.
 std::size_t count_kind(std::span<const Message> received, Message::Kind kind);

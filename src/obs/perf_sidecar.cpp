@@ -188,6 +188,27 @@ bool read_dispatch(jsonu::Reader& r, PerfDispatch& d) {
   return true;
 }
 
+bool read_engine_phases(jsonu::Reader& r, EnginePhases& p) {
+  U64Field fields[2 + kNumEnginePhases] = {
+      {"sampled_rounds", &p.sampled_rounds},
+      {"sampled_sweeps", &p.sampled_sweeps}};
+  for (std::size_t i = 0; i < kNumEnginePhases; ++i) {
+    fields[2 + i] = {kEnginePhaseKeys[i], &p.ns[i]};
+  }
+  return read_u64_object(r, fields, std::size(fields));
+}
+
+void append_engine_phases(std::string& out, const EnginePhases& p) {
+  out += "{\"sampled_rounds\":" + std::to_string(p.sampled_rounds);
+  out += ",\"sampled_sweeps\":" + std::to_string(p.sampled_sweeps);
+  for (std::size_t i = 0; i < kNumEnginePhases; ++i) {
+    out += ",\"";
+    out += kEnginePhaseKeys[i];
+    out += "\":" + std::to_string(p.ns[i]);
+  }
+  out += "}";
+}
+
 void append_counters(std::string& out, const EngineCounters& counters) {
   out += "{";
   bool first = true;
@@ -278,6 +299,10 @@ std::string PerfSidecar::to_json() const {
     }
     out += "]}";
   }
+  if (engine_phases) {
+    out += ",\"engine_phases\":";
+    append_engine_phases(out, *engine_phases);
+  }
   out += "}";
   return out;
 }
@@ -288,11 +313,14 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
   jsonu::Reader r(json);
   PerfSidecar sidecar;
   // format, grid_fingerprint, runs, counters, shards and cells are
-  // required; stats_bytes_retained (older sidecars predate it) and
-  // dispatch (dispatcher-merged sidecars only) are optional.
+  // required; stats_bytes_retained (older sidecars predate it), dispatch
+  // (dispatcher-merged sidecars only) and engine_phases (runs that timed
+  // them) are optional.
   static constexpr std::string_view kKeys[] = {
-      "format", "grid_fingerprint", "runs",  "counters",
-      "shards", "cells",            "stats_bytes_retained", "dispatch"};
+      "format",   "grid_fingerprint", "runs",
+      "counters", "shards",           "cells",
+      "stats_bytes_retained",         "dispatch",
+      "engine_phases"};
   constexpr std::uint64_t kRequired = 0x3f;
   std::uint64_t seen = 0;
   std::size_t hint = 0;
@@ -334,7 +362,10 @@ std::optional<PerfSidecar> PerfSidecar::from_json(const std::string& json,
           });
           break;
         case 6: ok = r.u64(&sidecar.stats_bytes_retained); break;
-        default: ok = read_dispatch(r, sidecar.dispatch.emplace()); break;
+        case 7: ok = read_dispatch(r, sidecar.dispatch.emplace()); break;
+        default:
+          ok = read_engine_phases(r, sidecar.engine_phases.emplace());
+          break;
       }
       if (!ok) break;
     }
@@ -359,6 +390,7 @@ PerfSidecar build_perf_sidecar(std::uint64_t grid_fingerprint,
   sidecar.runs = perf.runs;
   sidecar.stats_bytes_retained = perf.stats_bytes_retained;
   sidecar.counters = perf.counters;
+  sidecar.engine_phases = perf.engine_phases;
 
   PerfShardExec shard;
   shard.shard_index = shard_index;
@@ -424,6 +456,10 @@ std::optional<PerfSidecar> merge_perf_sidecars(
     merged.runs += s.runs;
     merged.stats_bytes_retained += s.stats_bytes_retained;
     merged.counters.add(s.counters);
+    if (s.engine_phases) {
+      if (!merged.engine_phases) merged.engine_phases.emplace();
+      merged.engine_phases->add(*s.engine_phases);
+    }
     for (const PerfShardExec& shard : s.shards) {
       merged.shards.push_back(shard);
     }

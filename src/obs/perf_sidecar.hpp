@@ -23,9 +23,16 @@
 //               "workers":[{"worker":w,"busy_ns":..,"runs":..},...]},...],
 //    "cells":[{"cell":c,"runs":S,"total_ns":..,"min_ns":..,"max_ns":..,
 //              "p50_ns":..,"p95_ns":..},...],
-//    "dispatch":{...}}          // ccd_dispatch event totals; optional on
+//    "dispatch":{...},          // ccd_dispatch event totals; optional on
 //                               // parse (only dispatcher-merged sidecars
 //                               // carry it)
+//    "engine_phases":{"sampled_rounds":..,"sampled_sweeps":..,
+//                     "crash_ns":..,"cm_ns":..,"send_ns":..,
+//                     "delivery_ns":..,"cd_ns":..,"receive_ns":..,
+//                     "termination_ns":..}}
+//                               // sampled phase times (obs/engine_phases
+//                               // .hpp); optional on parse, present iff
+//                               // the run timed its phases
 #pragma once
 
 #include <cstdint>
@@ -33,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/engine_phases.hpp"
 #include "obs/telemetry.hpp"
 
 namespace ccd::obs {
@@ -65,6 +73,8 @@ struct SweepPerf {
   std::uint64_t stats_bytes_retained = 0;
   EngineCounters counters;     ///< deterministic totals over all runs
   std::vector<RunSpan> spans;  ///< one per run, in slot (run) order
+  /// Sampled engine phase times; set iff SweepOptions::time_engine_phases.
+  std::optional<EnginePhases> engine_phases;
 };
 
 struct PerfWorker {
@@ -134,6 +144,8 @@ struct PerfSidecar {
   std::vector<PerfShardExec> shards;
   std::vector<PerfCell> cells;  ///< ascending cell index
   std::optional<PerfDispatch> dispatch;  ///< ccd_dispatch runs only
+  /// Sampled Definition 11 phase times; present iff the run timed them.
+  std::optional<EnginePhases> engine_phases;
 
   std::string to_json() const;
   static std::optional<PerfSidecar> from_json(const std::string& json,
@@ -148,7 +160,8 @@ PerfSidecar build_perf_sidecar(std::uint64_t grid_fingerprint,
                                const SweepPerf& perf);
 
 /// Merge K shard sidecars: counters and run counts SUM (exact -- they are
-/// deterministic), cell entries union disjointly (duplicate cells are a
+/// deterministic), engine phase times sum over the sidecars that carry
+/// them, cell entries union disjointly (duplicate cells are a
 /// keyed error naming both owners), shard entries concatenate sorted by
 /// (shard_count, shard_index).  Fingerprint mismatches are rejected.
 std::optional<PerfSidecar> merge_perf_sidecars(

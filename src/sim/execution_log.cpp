@@ -7,6 +7,10 @@ namespace ccd {
 ExecutionLog::ExecutionLog(std::size_t num_processes, bool record_views)
     : num_processes_(num_processes), record_views_(record_views) {
   if (record_views_) views_.resize(num_processes);
+  // A process decides at most once and crashes at most once, so logging
+  // either never grows these past their reservation.
+  decisions_.reserve(num_processes);
+  crashes_.reserve(num_processes);
 }
 
 void ExecutionLog::set_initial_value(ProcessId i, Value v) {

@@ -14,56 +14,13 @@ std::uint64_t hash_mix(std::uint64_t x) {
   return splitmix64(s);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : s_) word = splitmix64(s);
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  // Lemire's nearly-divisionless method with rejection for exact uniformity.
-  if (bound == 0) return 0;
-  __uint128_t m = static_cast<__uint128_t>((*this)()) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      m = static_cast<__uint128_t>((*this)()) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::uint64_t Rng::between(std::uint64_t lo, std::uint64_t hi) {
   return lo + below(hi - lo + 1);
-}
-
-double Rng::uniform() {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 Rng Rng::split() { return Rng((*this)() ^ 0x9e3779b97f4a7c15ULL); }

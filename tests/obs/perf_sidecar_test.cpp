@@ -1,6 +1,6 @@
 // Perf sidecar tests: build from spans, JSON round-trip, K-shard merge
-// (counter sums exact, disjoint cell union, fingerprint guard), and the
-// Chrome trace export's required keys.
+// (counter and engine-phase sums exact, disjoint cell union, fingerprint
+// guard), and the Chrome trace export's required keys.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -104,6 +104,64 @@ TEST(PerfSidecarTest, MergeSumsCountersAndUnionsCells) {
   ASSERT_EQ(merged->cells.size(), 4u);
   EXPECT_EQ(merged->cells[0].cell_index, 0u);
   EXPECT_EQ(merged->cells[3].cell_index, 3u);
+}
+
+EnginePhases sample_phases(std::uint64_t scale) {
+  EnginePhases p;
+  p.sampled_rounds = 10 * scale;
+  p.sampled_sweeps = 2 * scale;
+  for (std::size_t i = 0; i < kNumEnginePhases; ++i) {
+    p.ns[i] = (i + 1) * 100 * scale;
+  }
+  return p;
+}
+
+TEST(PerfSidecarTest, EnginePhasesRoundTripAndAreOptional) {
+  SweepPerf perf = sample_perf(2, 0);
+  const PerfSidecar plain = build_perf_sidecar(0xfeed, 0, 1, perf);
+  EXPECT_FALSE(plain.engine_phases);
+  EXPECT_EQ(plain.to_json().find("engine_phases"), std::string::npos);
+
+  perf.engine_phases = sample_phases(1);
+  const PerfSidecar timed = build_perf_sidecar(0xfeed, 0, 1, perf);
+  const std::string json = timed.to_json();
+  EXPECT_NE(json.find("\"engine_phases\":{\"sampled_rounds\":10,"
+                      "\"sampled_sweeps\":2,\"crash_ns\":100,"),
+            std::string::npos)
+      << json;
+  std::string error;
+  auto parsed = PerfSidecar::from_json(json, &error);
+  ASSERT_TRUE(parsed) << error;
+  ASSERT_TRUE(parsed->engine_phases);
+  EXPECT_EQ(*parsed->engine_phases, *perf.engine_phases);
+  EXPECT_EQ(parsed->to_json(), json);
+
+  // Every phase key is required inside the object.
+  std::string missing = json;
+  missing.replace(missing.find(",\"termination_ns\""),
+                  std::string(",\"termination_ns\":700").size(), "");
+  EXPECT_FALSE(PerfSidecar::from_json(missing, &error));
+  EXPECT_NE(error.find("termination_ns"), std::string::npos) << error;
+}
+
+TEST(PerfSidecarTest, MergeSumsEnginePhases) {
+  SweepPerf pa = sample_perf(2, 0);
+  SweepPerf pb = sample_perf(1, 2);
+  SweepPerf pc = sample_perf(1, 4);
+  pa.engine_phases = sample_phases(1);
+  pb.engine_phases = sample_phases(3);  // pc timed nothing
+  std::string error;
+  auto merged = merge_perf_sidecars({build_perf_sidecar(0xfeed, 0, 3, pa),
+                                     build_perf_sidecar(0xfeed, 1, 3, pb),
+                                     build_perf_sidecar(0xfeed, 2, 3, pc)},
+                                    &error);
+  ASSERT_TRUE(merged) << error;
+  ASSERT_TRUE(merged->engine_phases);
+  EXPECT_EQ(*merged->engine_phases, sample_phases(4));
+
+  auto untimed = merge_perf_sidecars({build_perf_sidecar(0xfeed, 2, 3, pc)});
+  ASSERT_TRUE(untimed);
+  EXPECT_FALSE(untimed->engine_phases);
 }
 
 TEST(PerfSidecarTest, MergeRejectsFingerprintMismatch) {

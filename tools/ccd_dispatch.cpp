@@ -28,14 +28,17 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/aggregator.hpp"
 #include "exp/dispatch/dispatcher.hpp"
 #include "exp/sweep_grid.hpp"
 #include "obs/telemetry.hpp"
+#include "util/parse_uint.hpp"
 
 namespace {
 
@@ -86,17 +89,23 @@ output:
 )");
 }
 
-bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
-  if (!arg || *arg == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (!end || *end != '\0' || arg[0] == '-') {
-    std::fprintf(stderr, "ccd_dispatch: bad %s value '%s'\n", what,
-                 arg ? arg : "");
+/// One integer flag value, parsed exactly into T (see util/parse_uint.hpp);
+/// a bad value prints a keyed error naming the flag and the reason.
+template <typename T>
+bool parse_uint_flag(std::string_view arg, const char* what, T& out) {
+  std::string why;
+  const std::optional<T> v = parse_uint<T>(arg, &why);
+  if (!v) {
+    std::fprintf(stderr, "ccd_dispatch: bad %s value '%.*s': %s\n", what,
+                 static_cast<int>(arg.size()), arg.data(), why.c_str());
     return false;
   }
-  out = v;
+  out = *v;
   return true;
+}
+
+bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
+  return arg && parse_uint_flag<std::uint64_t>(arg, what, out);
 }
 
 bool parse_double_flag(const char* arg, const char* what, double& out) {
@@ -119,14 +128,7 @@ bool parse_uint_list(const std::string& arg, const char* what,
     std::size_t comma = arg.find(',', start);
     if (comma == std::string::npos) comma = arg.size();
     const std::string tok = arg.substr(start, comma - start);
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (!end || *end != '\0' || tok.empty()) {
-      std::fprintf(stderr, "ccd_dispatch: bad %s value '%s'\n", what,
-                   tok.c_str());
-      return false;
-    }
-    out.push_back(static_cast<std::uint32_t>(v));
+    if (!parse_uint_flag(tok, what, out.emplace_back())) return false;
     start = comma + 1;
   }
   return true;
@@ -303,9 +305,7 @@ int main(int argc, char** argv) {
       ok = next() != nullptr;  // consumed in the first pass
     } else if (flag == "--seeds") {
       const char* v = next();
-      std::uint64_t seeds = 0;
-      ok = v && parse_u64_flag(v, "seeds", seeds) && seeds <= ~0u;
-      if (ok) grid.seeds_per_cell = static_cast<std::uint32_t>(seeds);
+      ok = v && parse_uint_flag(v, "seeds", grid.seeds_per_cell);
     } else if (flag == "--grid-seed") {
       const char* v = next();
       ok = v && parse_u64_flag(v, "grid-seed", grid.grid_seed);

@@ -28,6 +28,7 @@
 #include "exp/shard/checkpoint.hpp"
 #include "exp/shard/shard_report.hpp"
 #include "obs/perf_sidecar.hpp"
+#include "util/parse_uint.hpp"
 
 namespace {
 
@@ -123,12 +124,14 @@ int main(int argc, char** argv) {
       } else if (flag == "--checkpoint") {
         checkpoint_inputs.push_back(value);
       } else if (flag == "--stale-after") {
-        char* end = nullptr;
-        stale_after_secs = std::strtoull(value, &end, 10);
-        if (!end || *end != '\0') {
-          std::fprintf(stderr, "ccd_merge: bad --stale-after '%s'\n", value);
+        std::string why;
+        const auto secs = parse_uint<std::uint64_t>(value, &why);
+        if (!secs) {
+          std::fprintf(stderr, "ccd_merge: bad --stale-after '%s': %s\n",
+                       value, why.c_str());
           return 2;
         }
+        stale_after_secs = *secs;
       } else {
         perf_out_path = value;
       }

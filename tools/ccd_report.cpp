@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "obs/report_inspect.hpp"
+#include "util/parse_uint.hpp"
 
 namespace {
 
@@ -75,9 +76,9 @@ bool parse_double_arg(const char* text, double* out) {
 }
 
 bool parse_u64_arg(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(text, &end, 10);
-  return end && *end == '\0';
+  const auto v = ccd::parse_uint<std::uint64_t>(text);
+  if (v) *out = *v;
+  return v.has_value();
 }
 
 bool parse_int_arg(const char* text, int* out) {

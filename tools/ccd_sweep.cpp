@@ -33,8 +33,10 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,6 +49,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/perf_sidecar.hpp"
 #include "obs/telemetry.hpp"
+#include "util/parse_uint.hpp"
 
 namespace {
 
@@ -109,8 +112,9 @@ execution and output:
 observability (never changes report bytes; reports are byte-identical
 with or without these):
   --perf-out PATH      write a perf sidecar JSON: per-cell run-time
-                       percentiles, engine counter totals, per-worker
-                       utilization and queue-drain time
+                       percentiles, engine counter totals, sampled
+                       engine phase times, per-worker utilization and
+                       queue-drain time
   --trace-out PATH     write a Chrome trace-event JSON of per-run worker
                        spans (open in chrome://tracing or ui.perfetto.dev)
   --bench-out PATH     write a sweep-throughput benchmark JSON (runs/sec,
@@ -160,19 +164,27 @@ bool parse_list(const std::string& arg, const char* what, ParseFn parse,
   return true;
 }
 
+/// One integer flag value, parsed exactly into T (see util/parse_uint.hpp);
+/// a bad value prints a keyed error naming the flag and the reason.
+template <typename T>
+bool parse_uint_flag(std::string_view arg, const char* what, T& out) {
+  std::string why;
+  const std::optional<T> v = parse_uint<T>(arg, &why);
+  if (!v) {
+    std::fprintf(stderr, "ccd_sweep: bad %s value '%.*s': %s\n", what,
+                 static_cast<int>(arg.size()), arg.data(), why.c_str());
+    return false;
+  }
+  out = *v;
+  return true;
+}
+
 template <typename T>
 bool parse_uint_list(const std::string& arg, const char* what,
                      std::vector<T>& out) {
   out.clear();
   for (const std::string& tok : split_csv(arg)) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (!end || *end != '\0' || tok.empty()) {
-      std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what,
-                   tok.c_str());
-      return false;
-    }
-    out.push_back(static_cast<T>(v));
+    if (!parse_uint_flag(tok, what, out.emplace_back())) return false;
   }
   return true;
 }
@@ -194,16 +206,7 @@ bool parse_double_list(const std::string& arg, const char* what,
 }
 
 bool parse_u64_flag(const char* arg, const char* what, std::uint64_t& out) {
-  if (!arg || *arg == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(arg, &end, 10);
-  if (!end || *end != '\0' || arg[0] == '-') {
-    std::fprintf(stderr, "ccd_sweep: bad %s value '%s'\n", what,
-                 arg ? arg : "");
-    return false;
-  }
-  out = v;
-  return true;
+  return arg && parse_uint_flag<std::uint64_t>(arg, what, out);
 }
 
 bool parse_double_flag(const char* arg, const char* what, double& out) {
@@ -500,9 +503,7 @@ int main(int argc, char** argv) {
       ok = v && parse_double_list(v, "density", grid.densities);
     } else if (flag == "--seeds") {
       const char* v = next();
-      std::uint64_t seeds = 0;
-      ok = v && parse_u64_flag(v, "seeds", seeds) && seeds <= ~0u;
-      if (ok) grid.seeds_per_cell = static_cast<std::uint32_t>(seeds);
+      ok = v && parse_uint_flag(v, "seeds", grid.seeds_per_cell);
     } else if (flag == "--grid-seed") {
       const char* v = next();
       ok = v && parse_u64_flag(v, "grid-seed", grid.grid_seed);
@@ -521,10 +522,7 @@ int main(int argc, char** argv) {
       ok = v && parse_double_flag(v, "p-deliver", grid.base.p_deliver);
     } else if (flag == "--max-rounds") {
       const char* v = next();
-      std::uint64_t rounds = 0;
-      ok = v && parse_u64_flag(v, "max-rounds", rounds) &&
-           rounds <= ccd::kNeverRound;
-      if (ok) grid.base.max_rounds = static_cast<ccd::Round>(rounds);
+      ok = v && parse_uint_flag(v, "max-rounds", grid.base.max_rounds);
     } else if (flag == "--sync-rho") {
       const char* v = next();
       ok = v && parse_double_flag(v, "sync-rho", grid.base.sync_rho);
@@ -780,6 +778,7 @@ int main(int argc, char** argv) {
     if (!perf_path.empty() || !trace_path.empty()) {
       shard_options.sweep.perf = &perf;
     }
+    shard_options.sweep.time_engine_phases = !perf_path.empty();
     ProgressPrinter progress;
     StaleWatch stale_watch(stale_after_secs);
     if (!quiet && stale_after_secs > 0) {
@@ -856,6 +855,7 @@ int main(int argc, char** argv) {
   if (!perf_path.empty() || !trace_path.empty() || !bench_path.empty()) {
     options.perf = &perf;
   }
+  options.time_engine_phases = !perf_path.empty();
   ProgressPrinter progress;
   StaleWatch stale_watch(stale_after_secs);
   if (!quiet && stale_after_secs > 0) {
